@@ -7,9 +7,12 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# perfbench/ is its own module (replace dvsreject => ../), so the root
+# ./... patterns never compile it; vet it and run its short self-tests.
 vet:
 	$(GO) vet ./...
 	gofmt -l .
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 test:
 	$(GO) test ./...

@@ -338,12 +338,20 @@ func TestClusterEndToEndBitIdentical(t *testing.T) {
 	// Replication: each cold solve was pushed to the key's replica. Wait
 	// for the queues to drain, then ask the replica directly (not via the
 	// router) and expect a warm hit with the identical solution.
+	// A replica can receive several keys, so wait until it has installed
+	// all of them, not just the first.
 	ring := NewRing(addrs, 0)
+	replicas := make([]int, len(cases))
+	pushes := map[int]uint64{}
+	for i, c := range cases {
+		_, replicas[i] = ring.OwnerReplica(serve.Fingerprint(c.req, 0))
+		pushes[replicas[i]]++
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for _, c := range cases {
-		_, replica := ring.OwnerReplica(serve.Fingerprint(c.req, 0))
+	for i, c := range cases {
+		replica := replicas[i]
 		for {
-			if nodes[replica].Engine().Stats().Warmed > 0 {
+			if nodes[replica].Engine().Stats().Warmed >= pushes[replica] {
 				break
 			}
 			if time.Now().After(deadline) {

@@ -138,6 +138,27 @@ func (d DP) solve(in Instance, rec *DPState) (Solution, DPStats, error) {
 	return sol, st, err
 }
 
+// dpRow computes cells [0, hi) of one row, chunked across workers when
+// the row is wide enough to amortize the fan-out. Word-aligned chunks own
+// disjoint take words and disjoint cur cells; every read is from prev, so
+// chunk order is unobservable and the row equals its serial evaluation.
+// The row buffers arrive as parameters, so the closure captures copies
+// and the callers' swapped prev/cur variables stay on the stack.
+func dpRow(prev, cur []float64, bits []uint64, c int64, v float64, hi int64, workers int) {
+	if workers <= 1 || hi < int64(64*workers) {
+		dpRowRange(prev, cur, bits, c, v, 0, hi)
+		return
+	}
+	chunk := (hi + int64(workers) - 1) / int64(workers)
+	chunk = (chunk + 63) &^ 63
+	nch := int((hi + chunk - 1) / chunk)
+	conc.ForEach(nch, workers, func(k int) (struct{}, error) {
+		lo := int64(k) * chunk
+		dpRowRange(prev, cur, bits, c, v, lo, min(lo+chunk, hi))
+		return struct{}{}, nil
+	})
+}
+
 // ErrStateBudget is wrapped by every DP refusal caused by the state
 // budget — a dense grid over MaxStates or a sparse row set past its
 // breakpoint limit. Callers with a fallback tier (the serve engine's
@@ -248,22 +269,7 @@ func rejectionDP(its []item, cap64 int64, energy func(float64) float64, scale fl
 		}
 		reach = min(reach+c, cap64)
 		hi := reach + 1
-		rowBits := take.row(i)
-		if workers > 1 && hi >= int64(64*workers) {
-			// Word-aligned chunks own disjoint take words and disjoint cur
-			// cells; every read is from prev, so chunk order is
-			// unobservable and the row equals its serial evaluation.
-			chunk := (hi + int64(workers) - 1) / int64(workers)
-			chunk = (chunk + 63) &^ 63
-			nch := int((hi + chunk - 1) / chunk)
-			conc.ForEach(nch, workers, func(k int) (struct{}, error) {
-				lo := int64(k) * chunk
-				dpRowRange(prev, cur, rowBits, c, v, lo, min(lo+chunk, hi))
-				return struct{}{}, nil
-			})
-		} else {
-			dpRowRange(prev, cur, rowBits, c, v, 0, hi)
-		}
+		dpRow(prev, cur, take.row(i), c, v, hi, workers)
 		st.Cells += hi
 		prev, cur = cur, prev
 		if onRow != nil {

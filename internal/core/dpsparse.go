@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"dvsreject/internal/conc"
 )
 
 // SparseMode selects the DP row representation.
@@ -149,6 +147,15 @@ func sparseStep(rows *sparseRows, prevW []int64, prevF []float64, buf []float64,
 	return outW[:k], buf[:k], buf, k
 }
 
+// sparseRow0W and sparseRow0F are row 0 of every cold sparse solve: the
+// empty prefix reaches only workload 0 at zero penalty. Read-only — the
+// merge kernel writes its output rows into the solve's own buffers, and
+// snapshots copy.
+var (
+	sparseRow0W = []int64{0}
+	sparseRow0F = []float64{0}
+)
+
 func sparseBudgetErr(limit int64, row, n int) error {
 	return fmt.Errorf("core: sparse DP passed %d row breakpoints by row %d/%d (%w); raise MaxStates or use ApproxDP", limit, row, n, ErrStateBudget)
 }
@@ -189,10 +196,7 @@ func (d DP) solveSparse(ctx *evalCtx, cap64 int64, rec *DPState) (Solution, DPSt
 	}
 	rows.begin(0)
 
-	// Row 0: the empty prefix reaches only workload 0 at zero penalty.
-	w0 := [1]int64{0}
-	f0 := [1]float64{0}
-	prevW, prevF := w0[:], f0[:]
+	prevW, prevF := sparseRow0W, sparseRow0F
 	bufA, bufB := sc.spF, sc.spF2
 	defer func() { sc.spF, sc.spF2 = bufA, bufB }()
 	var spent int64
@@ -305,19 +309,7 @@ func (d DP) finishSparseDense(ctx *evalCtx, cap64 int64, start int, prevW []int6
 		}
 		reach = min(reach+c, cap64)
 		hi := reach + 1
-		rowBits := words[int64(i-start)*perRow : int64(i-start+1)*perRow]
-		if workers > 1 && hi >= int64(64*workers) {
-			chunk := (hi + int64(workers) - 1) / int64(workers)
-			chunk = (chunk + 63) &^ 63
-			nch := int((hi + chunk - 1) / chunk)
-			conc.ForEach(nch, workers, func(k int) (struct{}, error) {
-				lo := int64(k) * chunk
-				dpRowRange(prev, cur, rowBits, c, v, lo, min(lo+chunk, hi))
-				return struct{}{}, nil
-			})
-		} else {
-			dpRowRange(prev, cur, rowBits, c, v, 0, hi)
-		}
+		dpRow(prev, cur, words[int64(i-start)*perRow:int64(i-start+1)*perRow], c, v, hi, workers)
 		stats.Cells += hi
 		prev, cur = cur, prev
 	}

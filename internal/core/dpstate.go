@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"dvsreject/internal/conc"
 )
 
 // DefaultCheckpointStride is the row-snapshot interval of SolveCheckpoint
@@ -401,19 +399,7 @@ func (d DP) SolveFrom(st *DPState, in Instance, evolve bool) (sol Solution, stat
 		}
 		reach = min(reach+c, cap64)
 		hi := reach + 1
-		rowBits := words[rowBase(i) : rowBase(i)+perRow]
-		if workers > 1 && hi >= int64(64*workers) {
-			chunk := (hi + int64(workers) - 1) / int64(workers)
-			chunk = (chunk + 63) &^ 63
-			nch := int((hi + chunk - 1) / chunk)
-			conc.ForEach(nch, workers, func(k int) (struct{}, error) {
-				lo := int64(k) * chunk
-				dpRowRange(prev, cur, rowBits, c, v, lo, min(lo+chunk, hi))
-				return struct{}{}, nil
-			})
-		} else {
-			dpRowRange(prev, cur, rowBits, c, v, 0, hi)
-		}
+		dpRow(prev, cur, words[rowBase(i):rowBase(i)+perRow], c, v, hi, workers)
 		stats.Cells += hi
 		prev, cur = cur, prev
 		if evolve {

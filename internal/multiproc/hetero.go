@@ -609,16 +609,25 @@ func (s *heteroSearcher) dfs(i int, penalty float64) {
 
 // HeteroPartition is the partition-then-reject solver: every task gets a
 // candidate *owner* processor, the per-processor accept/reject subproblem
-// is solved *optimally* by the single-processor rejection DP (dense or
-// sparse rows, reusing one core.ProcProfile per distinct profile), and a
+// is solved *optimally* by the single-processor rejection DP, and a
 // bounded best-improvement move search re-solves the two affected
-// processors when migrating a task's ownership lowers the total cost.
-// Two ownership seeds are refined and the cheaper result kept: a
-// penalty-density/normalized-load constructive pass, and the
+// processors when migrating a task's ownership (or swapping two tasks'
+// owners) lowers the total cost. Every per-processor probe runs on sparse
+// rows (core.SparseOn, reusing one core.ProcProfile per distinct
+// profile): a probe owns a handful of tasks and reaches only a few dozen
+// workloads, the sparse kernel returns the dense kernel's bits, and it
+// switches to dense rows by itself once a row fills an eighth of the
+// grid. The move search stops at a fixed point — a full pass of probes
+// since the last applied move — or after MaxPasses passes.
+// Three ownership seeds are refined and the cheapest result kept: a
+// penalty-density/normalized-load constructive pass, the
 // HeteroLTFRejectLS solution — whose accept set each per-processor DP can
-// always reproduce, so HETERO-PART never costs more than HETERO-LS.
+// always reproduce, so HETERO-PART never costs more than HETERO-LS — and
+// a sequential per-processor DP cascade.
 type HeteroPartition struct {
-	// MaxStates bounds each per-processor DP; 0 means the core default.
+	// MaxStates bounds each per-processor DP: sparse row breakpoints, and
+	// dense cells once a probe has switched to dense rows; 0 means the
+	// core defaults.
 	MaxStates int64
 	// MaxPasses bounds the ownership-move passes per seed; 0 means 4.
 	MaxPasses int
@@ -655,20 +664,40 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 		profiles[m] = pp
 	}
 
-	// Per-processor optimal accept/reject via the rejection DP. Empty
+	// Per-processor optimal accept/reject via the rejection DP on sparse
+	// rows (see the type comment). Each probe's task subset is rebuilt in
+	// one reused buffer, which the DP reads only while it runs. Empty
 	// ownership short-circuits to the idle-energy solution.
-	dp := core.DP{MaxStates: h.MaxStates}
+	dp := core.DP{MaxStates: h.MaxStates, Sparse: core.SparseOn}
+	sub := make([]task.Task, 0, len(tasks))
 	solveProc := func(m int, owned []int) (core.Solution, error) {
 		if len(owned) == 0 {
 			idle := c.energyAt(m, 0)
 			return core.Solution{Energy: idle, Cost: idle}, nil
 		}
-		sub := task.Set{Deadline: in.Tasks.Deadline, Tasks: make([]task.Task, 0, len(owned))}
+		sub = sub[:0]
 		for _, ti := range owned {
-			sub.Tasks = append(sub.Tasks, tasks[ti])
+			sub = append(sub, tasks[ti])
 		}
-		ci := core.Instance{Tasks: sub, Proc: in.Procs[m]}.WithProcProfile(profiles[m])
+		ci := core.Instance{Tasks: task.Set{Deadline: in.Tasks.Deadline, Tasks: sub}, Proc: in.Procs[m]}.WithProcProfile(profiles[m])
 		return dp.Solve(ci)
+	}
+
+	// Ownership lists live in one arena of M+2 segments of n slots: one
+	// per processor plus two probe lists. No list ever holds more than n
+	// tasks, so appends stay inside their segment, and an applied move
+	// swaps the probe list in as the processor's list instead of copying.
+	n := len(tasks)
+	arena := make([]int, (mCount+2)*n)
+	segment := func(k int) []int { return arena[k*n : k*n : (k+1)*n] }
+	without := func(dst, owned []int, ti int) []int {
+		dst = dst[:0]
+		for _, x := range owned {
+			if x != ti {
+				dst = append(dst, x)
+			}
+		}
+		return dst
 	}
 
 	// refine solves each processor's DP on the seed ownership, then runs
@@ -677,13 +706,28 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 	// pass also tries pairwise owner swaps (the coordinated exchanges that
 	// single migrations cannot reach); the O(n²) swap scan is skipped past
 	// heteroSwapLimit tasks to keep large serve solves at O(n·M) DP calls.
+	//
+	// A pass visits a fixed cycle of probe positions: every migration
+	// task, then every swap pair (same-owner pairs included). Each probe
+	// is a pure function of the ownership lists, so once a full cycle of
+	// positions has run since the last applied move, every later probe
+	// repeats one already made: refinement stops at that fixed point, or
+	// after MaxPasses passes.
 	passes := h.MaxPasses
 	if passes == 0 {
 		passes = 4
 	}
-	doSwaps := len(tasks) <= heteroSwapLimit
+	doSwaps := n <= heteroSwapLimit
+	cycle := n
+	if doSwaps {
+		cycle += n * (n - 1) / 2
+	}
 	refine := func(owner []int) ([]core.Solution, float64, error) {
 		owned := make([][]int, mCount)
+		for m := range owned {
+			owned[m] = segment(m)
+		}
+		probeA, probeB := segment(mCount), segment(mCount+1)
 		for ti, m := range owner {
 			owned[m] = append(owned[m], ti)
 		}
@@ -695,12 +739,21 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 			}
 			procSols[m] = sol
 		}
+		stale := 0 // probe positions since the last applied move
+		settled := func(moved bool) bool {
+			if moved {
+				stale = 0
+			} else {
+				stale++
+			}
+			return stale == cycle
+		}
+	refining:
 		for pass := 0; pass < passes; pass++ {
-			improved := false
 			for ti := range tasks {
 				from := owner[ti]
-				fromOwned := slices.DeleteFunc(slices.Clone(owned[from]), func(x int) bool { return x == ti })
-				fromSol, err := solveProc(from, fromOwned)
+				probeA = without(probeA, owned[from], ti)
+				fromSol, err := solveProc(from, probeA)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -711,7 +764,8 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 					if to == from {
 						continue
 					}
-					toSol, err := solveProc(to, append(slices.Clone(owned[to]), ti))
+					probeB = append(append(probeB[:0], owned[to]...), ti)
+					toSol, err := solveProc(to, probeB)
 					if err != nil {
 						return nil, 0, err
 					}
@@ -722,41 +776,41 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 				}
 				if bestTo >= 0 {
 					owned[bestTo] = append(owned[bestTo], ti)
-					owned[from] = fromOwned
+					owned[from], probeA = probeA, owned[from]
 					owner[ti] = bestTo
 					procSols[from], procSols[bestTo] = fromSol, bestToSol
-					improved = true
+				}
+				if settled(bestTo >= 0) {
+					break refining
 				}
 			}
-			for ti := 0; doSwaps && ti < len(tasks); ti++ {
-				for tj := ti + 1; tj < len(tasks); tj++ {
+			for ti := 0; doSwaps && ti < n; ti++ {
+				for tj := ti + 1; tj < n; tj++ {
 					pa, pb := owner[ti], owner[tj]
-					if pa == pb {
-						continue
+					moved := false
+					if pa != pb {
+						probeA = append(without(probeA, owned[pa], ti), tj)
+						probeB = append(without(probeB, owned[pb], tj), ti)
+						aSol, err := solveProc(pa, probeA)
+						if err != nil {
+							return nil, 0, err
+						}
+						bSol, err := solveProc(pb, probeB)
+						if err != nil {
+							return nil, 0, err
+						}
+						delta := (aSol.Cost + bSol.Cost) - (procSols[pa].Cost + procSols[pb].Cost)
+						if moved = delta < -1e-9; moved {
+							owned[pa], probeA = probeA, owned[pa]
+							owned[pb], probeB = probeB, owned[pb]
+							owner[ti], owner[tj] = pb, pa
+							procSols[pa], procSols[pb] = aSol, bSol
+						}
 					}
-					aOwned := slices.DeleteFunc(slices.Clone(owned[pa]), func(x int) bool { return x == ti })
-					aOwned = append(aOwned, tj)
-					bOwned := slices.DeleteFunc(slices.Clone(owned[pb]), func(x int) bool { return x == tj })
-					bOwned = append(bOwned, ti)
-					aSol, err := solveProc(pa, aOwned)
-					if err != nil {
-						return nil, 0, err
-					}
-					bSol, err := solveProc(pb, bOwned)
-					if err != nil {
-						return nil, 0, err
-					}
-					delta := (aSol.Cost + bSol.Cost) - (procSols[pa].Cost + procSols[pb].Cost)
-					if delta < -1e-9 {
-						owned[pa], owned[pb] = aOwned, bOwned
-						owner[ti], owner[tj] = pb, pa
-						procSols[pa], procSols[pb] = aSol, bSol
-						improved = true
+					if settled(moved) {
+						break refining
 					}
 				}
-			}
-			if !improved {
-				break
 			}
 		}
 		total := 0.0
@@ -1006,8 +1060,13 @@ func HeteroLowerBound(in HeteroInstance, maxStates int64) (float64, error) {
 	margs := make([][]float64, mCount)
 	for m := range margs {
 		mg := make([]float64, lims[m])
+		// Each grid energy is evaluated once and carried to the next
+		// marginal: the same operands, so the same bits.
+		lo := curves[m].Energy(0)
 		for j := int64(0); j < lims[m]; j++ {
-			mg[j] = curves[m].Energy(float64((j+1)*k)) - curves[m].Energy(float64(j*k))
+			hi := curves[m].Energy(float64((j + 1) * k))
+			mg[j] = hi - lo
+			lo = hi
 		}
 		for j := int64(len(mg)) - 2; j >= 0; j-- {
 			if mg[j] > mg[j+1] {
