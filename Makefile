@@ -11,7 +11,7 @@ build:
 # ./... patterns never compile it; vet it and run its short self-tests.
 vet:
 	$(GO) vet ./...
-	gofmt -l .
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed on:" $$unformatted; exit 1; fi
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 test:
@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzDeltaSolve$$' -fuzztime 60s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzSparseDense$$' -fuzztime 60s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzServeFingerprint$$' -fuzztime 60s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 60s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime 60s
 	$(GO) test ./internal/anytime/ -run '^$$' -fuzz '^FuzzAnytimeFront$$' -fuzztime 60s
 	$(GO) test ./internal/multiproc/ -run '^$$' -fuzz '^FuzzHeteroPartition$$' -fuzztime 60s

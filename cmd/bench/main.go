@@ -153,15 +153,7 @@ func serveErr(r serve.Response) error { return r.Err }
 // floor (4 allocations, so 1→2 on a near-zero-alloc case never gates).
 // Cases present on only one side are reported but never gate (a new
 // benchmark has no baseline to regress against).
-func compareReports(path string, fresh report, maxRegress, maxAllocsRegress float64) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var base report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
+func compareReports(path string, base, fresh report, maxRegress, maxAllocsRegress float64) []string {
 	key := func(r result) string {
 		if r.M > 0 {
 			return fmt.Sprintf("%s/n=%d/M=%d", r.Name, r.N, r.M)
@@ -199,7 +191,19 @@ func compareReports(path string, fresh report, maxRegress, maxAllocsRegress floa
 	for k := range old {
 		fmt.Printf("%-42s %14s %14s %9s\n", k, "-", "-", "removed")
 	}
-	return regressed, nil
+	return regressed
+}
+
+func readReport(path string) (report, error) {
+	var rep report
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return rep, err
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return rep, fmt.Errorf("%s: %v", path, err)
+	}
+	return rep, nil
 }
 
 func main() {
@@ -215,6 +219,20 @@ func main() {
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
 		fmt.Fprintf(os.Stderr, "bench: bad -benchtime: %v\n", err)
 		os.Exit(1)
+	}
+	// A comparison runs at the baseline's GOMAXPROCS: the row-parallel DP
+	// and the parallel solvers allocate per worker, so allocs/op measured
+	// at another setting would not be comparable.
+	var base report
+	if *compare != "" {
+		var err error
+		if base, err = readReport(*compare); err != nil {
+			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+			os.Exit(1)
+		}
+		if base.GoMaxProcs > 0 {
+			runtime.GOMAXPROCS(base.GoMaxProcs)
+		}
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -753,10 +771,6 @@ func main() {
 				}
 			}
 		})
-		if runErr != nil {
-			fmt.Fprintf(os.Stderr, "bench: %s/n=%d: %v\n", c.name, c.n, runErr)
-			os.Exit(1)
-		}
 		res := result{
 			Name:        c.name,
 			N:           c.n,
@@ -765,6 +779,20 @@ func main() {
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
+		}
+		// An op slower than -benchtime is timed once or twice, mostly on
+		// cold scratch pools; count its allocations over warm runs instead
+		// (AllocsPerRun warms up once, and runs at GOMAXPROCS 1).
+		if runErr == nil && r.N < 3 {
+			res.AllocsPerOp = int64(testing.AllocsPerRun(3, func() {
+				if err := fn(); err != nil {
+					runErr = err
+				}
+			}))
+		}
+		if runErr != nil {
+			fmt.Fprintf(os.Stderr, "bench: %s/n=%d: %v\n", c.name, c.n, runErr)
+			os.Exit(1)
 		}
 		if stats != nil {
 			st := stats()
@@ -839,12 +867,7 @@ func main() {
 		f.Close()
 	}
 	if *compare != "" {
-		regressed, err := compareReports(*compare, rep, *maxRegress, *maxAllocsRegress)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		if len(regressed) > 0 {
+		if regressed := compareReports(*compare, base, rep, *maxRegress, *maxAllocsRegress); len(regressed) > 0 {
 			fmt.Fprintf(os.Stderr, "bench: %d case(s) regressed (ns/op over %g%% or allocs/op over %g%%): %v\n",
 				len(regressed), *maxRegress, *maxAllocsRegress, regressed)
 			pprof.StopCPUProfile()

@@ -430,6 +430,35 @@ func TestWireRemoteSolverError(t *testing.T) {
 	}
 }
 
+// panicSolver panics on every solve.
+type panicSolver struct{}
+
+func (panicSolver) Name() string                               { return "PANIC-TEST" }
+func (panicSolver) Solve(core.Instance) (core.Solution, error) { panic("injected solver panic") }
+
+// TestWireSolverPanic: a solver panic reaches a wire client as a 500
+// error frame, and the node keeps serving the connection.
+func TestWireSolverPanic(t *testing.T) {
+	core.RegisterSolver("PANIC-TEST", func(core.SolverSpec) (core.Solver, error) { return panicSolver{}, nil })
+	addrs, nodes := startCluster(t, 1, AdmissionConfig{})
+	c := NewWireClient(addrs[0])
+	defer c.Close()
+	req := testReq(t, 1, 10)
+	req.Solver = "PANIC-TEST"
+	_, err := c.Solve(req)
+	var remote *RemoteError
+	if !errors.As(err, &remote) || remote.Code != http.StatusInternalServerError {
+		t.Fatalf("error %v, want a 500 *RemoteError", err)
+	}
+	if p := nodes[0].Engine().Stats().Panics; p != 1 {
+		t.Fatalf("node counted %d panics, want 1", p)
+	}
+	req.Solver = "DP"
+	if _, err := c.Solve(req); err != nil {
+		t.Fatalf("node unusable after a solver panic: %v", err)
+	}
+}
+
 func TestWireClientRedialsAfterNodeRestart(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -320,11 +320,7 @@ func (n *Node) solveFrame(wreq wire.Request) (wire.FrameType, []byte) {
 	defer n.gate.Release(req)
 	resp := n.engine.Solve(context.Background(), req)
 	if resp.Err != nil {
-		code := http.StatusUnprocessableEntity
-		if errors.Is(resp.Err, context.DeadlineExceeded) || errors.Is(resp.Err, context.Canceled) {
-			code = http.StatusGatewayTimeout
-		}
-		return wire.FrameError, wire.EncodeError(wire.Error{Code: code, Msg: resp.Err.Error()})
+		return wire.FrameError, wire.EncodeError(wire.Error{Code: serve.SolveStatus(resp.Err), Msg: resp.Err.Error()})
 	}
 	n.wireSolves.Add(1)
 	return wire.FrameSolution, wire.EncodeResult(wire.Result{

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
@@ -143,50 +144,57 @@ func sortedTasks(ts []task.Task) []task.Task {
 	return c
 }
 
-// requestsEqual reports bit-exact equality of two requests, including task
-// order. This is the gate between "same cache slot" and "may reuse the
-// stored solution": only a bit-identical input is guaranteed a bit-identical
-// output.
-func requestsEqual(a, b Request) bool {
-	bits := math.Float64bits
-	if a.Solver != b.Solver || a.FastPow != b.FastPow ||
-		bits(a.Tasks.Deadline) != bits(b.Tasks.Deadline) ||
-		len(a.Tasks.Tasks) != len(b.Tasks.Tasks) {
-		return false
+// appendExact appends a request's exact identity: every bit a solve
+// depends on, task order included, Timeout excluded. Each field is
+// self-delimiting, so two requests encode equally exactly when they are
+// bit-identical. The plan cache keeps this encoding in place of a cloned
+// request, which is why IDs, cycles and Rho bits go in as varints: one or
+// two bytes each for typical values instead of eight.
+func appendExact(buf []byte, req Request) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(req.Solver)))
+	buf = append(buf, req.Solver...)
+	if req.FastPow {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
 	}
-	for i, t := range a.Tasks.Tasks {
-		u := b.Tasks.Tasks[i]
-		if t.ID != u.ID || t.Cycles != u.Cycles ||
-			bits(t.Penalty) != bits(u.Penalty) || bits(t.Rho) != bits(u.Rho) {
-			return false
-		}
+	buf = appendProc(buf, req.Proc, 0)
+	buf = binary.AppendUvarint(buf, uint64(len(req.Procs)))
+	for _, p := range req.Procs {
+		buf = appendProc(buf, p, 0)
 	}
-	if !procBitsEqual(a.Proc, b.Proc) || len(a.Procs) != len(b.Procs) {
-		return false
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(req.Tasks.Deadline))
+	buf = binary.AppendUvarint(buf, uint64(len(req.Tasks.Tasks)))
+	for _, t := range req.Tasks.Tasks {
+		buf = binary.AppendVarint(buf, int64(t.ID))
+		buf = binary.AppendVarint(buf, t.Cycles)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.Penalty))
+		buf = binary.AppendUvarint(buf, math.Float64bits(t.Rho))
 	}
-	for i := range a.Procs {
-		if !procBitsEqual(a.Procs[i], b.Procs[i]) {
-			return false
-		}
-	}
-	return true
+	return buf
 }
 
-// procBitsEqual is the bit-exact processor comparison behind requestsEqual.
-func procBitsEqual(p, q speed.Proc) bool {
-	bits := math.Float64bits
-	if bits(p.Model.Pind) != bits(q.Model.Pind) ||
-		bits(p.Model.Coeff) != bits(q.Model.Coeff) ||
-		bits(p.Model.Alpha) != bits(q.Model.Alpha) ||
-		bits(p.SMin) != bits(q.SMin) || bits(p.SMax) != bits(q.SMax) ||
-		p.DormantEnable != q.DormantEnable || bits(p.Esw) != bits(q.Esw) ||
-		len(p.Levels) != len(q.Levels) {
-		return false
-	}
-	for i := range p.Levels {
-		if bits(p.Levels[i]) != bits(q.Levels[i]) {
-			return false
-		}
-	}
-	return true
+// exactKey returns appendExact(req) in an exact-size slice, for keeping.
+func exactKey(req Request) []byte {
+	bp := scratchBufs.Get().(*[]byte)
+	b := appendExact((*bp)[:0], req)
+	key := bytes.Clone(b)
+	putScratch(bp, b)
+	return key
 }
+
+// sameRequest reports whether req is the request whose exactKey is key.
+// This is the gate between "same cache slot" and "may reuse the stored
+// solution": only a bit-identical input is guaranteed a bit-identical
+// output.
+func sameRequest(key []byte, req Request) bool {
+	bp := scratchBufs.Get().(*[]byte)
+	b := appendExact((*bp)[:0], req)
+	eq := bytes.Equal(key, b)
+	putScratch(bp, b)
+	return eq
+}
+
+// requestsEqual reports bit-exact equality of two requests, including task
+// order.
+func requestsEqual(a, b Request) bool { return sameRequest(exactKey(a), b) }

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"dvsreject/internal/power"
@@ -201,7 +204,8 @@ func NewHandler(e *Engine) http.Handler { return NewGatedHandler(e, nil) }
 //	GET  /healthz liveness probe
 //
 // /solve distinguishes client errors (400), overload shedding (429 with a
-// Retry-After header), solver/timeout errors (422/504) and success (200).
+// Retry-After header), solver/timeout errors (422/504), solver panics (500)
+// and success (200).
 // /batch returns 200 with per-item errors inline; gating is per item, so
 // an overloaded node sheds the low-penalty fraction of a batch rather than
 // the whole call.
@@ -228,7 +232,7 @@ func NewGatedHandler(e *Engine, gate Gate) http.Handler {
 			defer gate.Release(req)
 		}
 		resp := e.Solve(r.Context(), req)
-		writeJSON(w, solveStatus(resp.Err), toWire(resp))
+		writeJSON(w, SolveStatus(resp.Err), toWire(resp))
 	})
 
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
@@ -282,25 +286,85 @@ func NewGatedHandler(e *Engine, gate Gate) http.Handler {
 	return mux
 }
 
-// solveStatus maps a solve outcome to an HTTP status: deadline/cancel →
-// 504, solver rejection (invalid instance, unknown solver) → 422, success
-// → 200.
-func solveStatus(err error) int {
+// SolveStatus maps a solve outcome to an HTTP status, for /solve and the
+// wire protocol's error frames alike: deadline/cancel → 504, solver panic
+// → 500, solver rejection (invalid instance, unknown solver) → 422,
+// success → 200.
+func SolveStatus(err error) int {
 	switch {
 	case err == nil:
 		return http.StatusOK
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
+	case errors.Is(err, ErrSolverPanic):
+		return http.StatusInternalServerError
 	default:
 		return http.StatusUnprocessableEntity
 	}
 }
 
+// decodeBody decodes a /solve or /batch body into dst, a zero *WireRequest
+// or *WireBatch, under the maxBodyBytes limit.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	return decodeWire(r.Body, dst)
+}
+
+// decodeWire reads body to its end and decodes it with decodeFast. When
+// the scanner declines, or the read fails (the size limit included), it
+// replays the bytes already read, then the rest of body, through
+// decodeJSON: encoding/json then decides the outcome, its error text and
+// its edge semantics (case-insensitive keys, last duplicate wins, trailing
+// data ignored), as if it had read body itself.
+func decodeWire(body io.Reader, dst any) error {
+	bp := scratchBufs.Get().(*[]byte)
+	b, err := readAll(body, (*bp)[:0])
+	if err != nil || !decodeFast(b, dst) {
+		err = decodeJSON(io.MultiReader(bytes.NewReader(b), body), dst)
+	}
+	putScratch(bp, b)
+	return err
+}
+
+// decodeJSON is the stdlib decoder every body went through before the
+// scanner: unknown fields are an error.
+func decodeJSON(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	return dec.Decode(dst)
+}
+
+// readAll is io.ReadAll into a caller-supplied buffer.
+func readAll(r io.Reader, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+	}
+}
+
+// maxPooledScratch caps the scratch buffers kept between requests, so one
+// jumbo instance does not pin its buffer for the life of the daemon.
+const maxPooledScratch = 1 << 20
+
+// scratchBufs recycles the byte buffers of request bodies and exact keys.
+var scratchBufs = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
+
+// putScratch returns b, grown from *bp, to the pool unless it outgrew
+// maxPooledScratch.
+func putScratch(bp *[]byte, b []byte) {
+	if cap(b) <= maxPooledScratch {
+		*bp = b
+		scratchBufs.Put(bp)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -190,15 +190,18 @@ type Stats struct {
 	// HeteroSolves counts cold solves routed to the heterogeneous
 	// profile-vector tier (cache hits of hetero entries don't re-count).
 	HeteroSolves uint64 `json:"hetero_solves"`
+	// Panics counts solver runs that panicked and were answered with an
+	// ErrSolverPanic error.
+	Panics uint64 `json:"panics"`
 	// Cache aggregates the plan-cache shard counters.
 	Cache cache.Stats `json:"cache"`
 }
 
-// entry is one cached plan: the solution plus a private snapshot of the
-// exact request that produced it, for bit-exact hit verification. Anytime
-// entries only live inside a singleflight group — they are never Put.
+// entry is one cached plan: the solution plus the exactKey of the request
+// that produced it, for bit-exact hit verification. Anytime entries only
+// live inside a singleflight group — they are never Put.
 type entry struct {
-	req     Request
+	key     []byte
 	sol     core.Solution
 	anytime bool
 	gap     float64
@@ -229,7 +232,13 @@ type Engine struct {
 	sparseCells   atomic.Uint64
 	anytimeSolves atomic.Uint64
 	heteroSolves  atomic.Uint64
+	panics        atomic.Uint64
 }
+
+// ErrSolverPanic is wrapped by the error of a request whose solver
+// panicked. The engine recovers and keeps nothing of that run: no cache
+// entry, replication push or delta parent, so a repeat runs it again.
+var ErrSolverPanic = errors.New("serve: solver panicked")
 
 // New builds an engine from cfg (zero value fine, see Config).
 func New(cfg Config) *Engine {
@@ -355,7 +364,7 @@ func (e *Engine) solveOne(ctx context.Context, req Request, pp *core.ProcProfile
 	}
 
 	if ent, ok := e.cache.Get(fp); ok {
-		if requestsEqual(ent.req, req) {
+		if sameRequest(ent.key, req) {
 			return Response{Solution: cloneSolution(ent.sol), CacheHit: true, Hetero: cloneHetero(ent.hetero)}
 		}
 		// Slot collision: same fingerprint, different bits. Solve
@@ -372,7 +381,7 @@ func (e *Engine) solveOne(ctx context.Context, req Request, pp *core.ProcProfile
 		if solveErr != nil {
 			return entry{}, solveErr
 		}
-		ent := entry{req: creq, sol: sol, anytime: an.used, gap: an.gap, hetero: hi}
+		ent := entry{key: exactKey(creq), sol: sol, anytime: an.used, gap: an.gap, hetero: hi}
 		if !an.used {
 			// Anytime answers are budget-dependent, not bit-reproducible:
 			// caching (or replicating) one would let it shadow a later
@@ -389,7 +398,7 @@ func (e *Engine) solveOne(ctx context.Context, req Request, pp *core.ProcProfile
 	if err != nil {
 		return Response{Err: err}
 	}
-	if shared && !requestsEqual(ent.req, req) {
+	if shared && !sameRequest(ent.key, req) {
 		// Joined a flight for a colliding request: its solution is not
 		// ours. Solve directly.
 		e.bypasses.Add(1)
@@ -405,9 +414,17 @@ func (e *Engine) solveOne(ctx context.Context, req Request, pp *core.ProcProfile
 // run resolves the solver and executes it, attaching the precomputed
 // processor profile when one is available. DP solves route through the
 // delta path; jumbo requests purge the core scratch pools afterwards so
-// one huge solve stops taxing the small ones that follow.
-func (e *Engine) run(req Request, pp *core.ProcProfile) (core.Solution, anytimeNote, *HeteroInfo, error) {
-	sol, an, hi, err := e.runSolver(req, pp)
+// one huge solve stops taxing the small ones that follow. Every flight and
+// every bypass solve comes through here, so this is where a solver panic
+// turns into an ErrSolverPanic error instead of killing the process.
+func (e *Engine) run(req Request, pp *core.ProcProfile) (sol core.Solution, an anytimeNote, hi *HeteroInfo, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			e.panics.Add(1)
+			sol, an, hi, err = core.Solution{}, anytimeNote{}, nil, fmt.Errorf("%w: %v", ErrSolverPanic, p)
+		}
+	}()
+	sol, an, hi, err = e.runSolver(req, pp)
 	if len(req.Tasks.Tasks) >= jumboTasks {
 		core.PurgeSolverScratch()
 	}
@@ -588,7 +605,7 @@ func (e *Engine) deltaSolve(dp core.DP, req Request, in core.Instance) (core.Sol
 
 // Warm installs a solved entry pushed from a peer — the warm-cache
 // replication path. The pair must come from a bit-exact solver run (the
-// wire codec preserves every bit); the usual requestsEqual verification
+// wire codec preserves every bit); the usual sameRequest verification
 // still gates every later hit, so a corrupted push can waste a slot but
 // never change a served result. An occupied slot is left alone: the local
 // entry is at least as fresh. Reports whether the entry was installed.
@@ -605,7 +622,7 @@ func (e *Engine) Warm(req Request, sol core.Solution) bool {
 	if e.cache.Contains(fp) {
 		return false
 	}
-	e.cache.Put(fp, entry{req: cloneRequest(req), sol: cloneSolution(sol)})
+	e.cache.Put(fp, entry{key: exactKey(req), sol: cloneSolution(sol)})
 	e.warmed.Add(1)
 	return true
 }
@@ -623,6 +640,7 @@ func (e *Engine) Stats() Stats {
 		SparseCells:   e.sparseCells.Load(),
 		AnytimeSolves: e.anytimeSolves.Load(),
 		HeteroSolves:  e.heteroSolves.Load(),
+		Panics:        e.panics.Load(),
 		Cache:         e.cache.Stats(),
 	}
 }
@@ -635,8 +653,8 @@ func (e *Engine) Reset() {
 	e.delta.clear()
 }
 
-// cloneRequest deep-copies the request's slices so cache entries never
-// alias caller memory.
+// cloneRequest deep-copies the request's slices so a flight never aliases
+// caller memory.
 func cloneRequest(req Request) Request {
 	req.Tasks.Tasks = slices.Clone(req.Tasks.Tasks)
 	req.Proc.Levels = slices.Clone(req.Proc.Levels)
