@@ -6,7 +6,9 @@
 package conc
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
 
@@ -15,6 +17,12 @@ import (
 // pool never exceeds n. Every index is attempted even after a failure; the
 // first error (by index, not by completion time) wins, matching what a
 // plain serial loop that collects all errors would report.
+//
+// A panic in fn is recovered per index, so the pool keeps draining and a
+// panic on a worker goroutine never kills the process. Once every index
+// has been attempted, ForEach re-panics on its caller's goroutine with a
+// *Panic carrying the lowest panicking index, its value and the stack it
+// was raised on; a recover on the caller (the serve engine's) sees it.
 func ForEach[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
@@ -31,10 +39,13 @@ func ForEach[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 
 	if workers == 1 {
 		// Serial fast path: no goroutine or channel traffic.
+		var fp firstPanic
 		for i := 0; i < n; i++ {
-			results[i], errs[i] = fn(i)
+			call(&fp, fn, i, &results[i], &errs[i])
 		}
+		fp.repanic()
 	} else {
+		fp := &firstPanic{}
 		var wg sync.WaitGroup
 		next := make(chan int)
 		for w := 0; w < workers; w++ {
@@ -42,7 +53,7 @@ func ForEach[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 			go func() {
 				defer wg.Done()
 				for i := range next {
-					results[i], errs[i] = fn(i)
+					call(fp, fn, i, &results[i], &errs[i])
 				}
 			}()
 		}
@@ -51,6 +62,7 @@ func ForEach[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 		}
 		close(next)
 		wg.Wait()
+		fp.repanic()
 	}
 
 	for _, err := range errs {
@@ -59,4 +71,49 @@ func ForEach[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return results, nil
+}
+
+// Panic is the value ForEach re-panics with when fn panicked: the lowest
+// index that panicked, the value it panicked with, and the stack of the
+// goroutine it was raised on. Its Error text names the index and the
+// value only; the stack is for logs.
+type Panic struct {
+	Index int
+	Value any
+	Stack []byte
+}
+
+func (p *Panic) Error() string { return fmt.Sprintf("conc: index %d panicked: %v", p.Index, p.Value) }
+
+// firstPanic keeps the lowest-index panic recovered by ForEach.
+type firstPanic struct {
+	mu sync.Mutex
+	p  *Panic
+}
+
+// call runs fn(i) into its result slots, recovering a panic into fp.
+func call[T any](fp *firstPanic, fn func(int) (T, error), i int, res *T, err *error) {
+	defer fp.catch(i)
+	*res, *err = fn(i)
+}
+
+// catch is deferred around each index.
+func (fp *firstPanic) catch(i int) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	stack := debug.Stack()
+	fp.mu.Lock()
+	if fp.p == nil || i < fp.p.Index {
+		fp.p = &Panic{Index: i, Value: v, Stack: stack}
+	}
+	fp.mu.Unlock()
+}
+
+// repanic re-raises the kept panic, if any, on the calling goroutine.
+func (fp *firstPanic) repanic() {
+	if fp.p != nil {
+		panic(fp.p)
+	}
 }

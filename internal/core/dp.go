@@ -64,6 +64,10 @@ func (d DP) Name() string {
 // DefaultMaxDPStates is DP's work limit (n·capacity table cells).
 const DefaultMaxDPStates = int64(1) << 28
 
+// dpCapacity is the exact DP's largest grid workload: the capacity
+// smax·D in true cycles, floored after a 1e-12 relative slack.
+func dpCapacity(capacity float64) int64 { return int64(math.Floor(capacity * (1 + 1e-12))) }
+
 // DPStats reports the table work of one rejection-DP run. Serial and
 // row-parallel evaluations of the same instance report identical counts
 // (the differential tests pin this alongside byte-identical outputs).
@@ -107,7 +111,7 @@ func (d DP) solve(in Instance, rec *DPState) (Solution, DPStats, error) {
 	if ctx.hetero {
 		return Solution{}, DPStats{}, ErrHeterogeneous
 	}
-	cap64 := int64(math.Floor(ctx.capacity * (1 + 1e-12)))
+	cap64 := dpCapacity(ctx.capacity)
 	limit := d.MaxStates
 	if limit == 0 {
 		limit = DefaultMaxDPStates

@@ -39,3 +39,31 @@ func TestDPSolveAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSubsetDPCostAllocs pins a warm SubsetDP.Cost at zero allocations:
+// the row record, value buffers, gathered items and energy memo all live
+// on the SubsetDP.
+func TestSubsetDPCostAllocs(t *testing.T) {
+	in := cubicInstance(
+		task.Task{ID: 1, Cycles: 4, Penalty: 1},
+		task.Task{ID: 2, Cycles: 4, Penalty: 1},
+		task.Task{ID: 3, Cycles: 4, Penalty: 1},
+		task.Task{ID: 4, Cycles: 3, Penalty: 2},
+	)
+	in.Tasks.Deadline = 100 // wide enough that no row switches to dense
+	s, err := NewSubsetDP(DP{Sparse: SparseOn}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := []int{3, 0, 2}
+	if _, err := s.Cost(idx); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := s.Cost(idx); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("%v allocs per warm Cost, want 0", avg)
+	}
+}

@@ -175,15 +175,6 @@ func (d DP) solveSparse(ctx *evalCtx, cap64 int64, rec *DPState) (Solution, DPSt
 	its := ctx.items
 	n := len(its)
 	prune := ctx.fastEnergy
-	limit := d.MaxStates
-	if limit == 0 {
-		limit = DefaultMaxSparseCells
-	}
-	denseLimit := d.MaxStates
-	if denseLimit == 0 {
-		denseLimit = DefaultMaxDPStates
-	}
-	width := cap64 + 1
 
 	sc := getDPScratch()
 	defer putDPScratch(sc)
@@ -194,38 +185,12 @@ func (d DP) solveSparse(ctx *evalCtx, cap64 int64, rec *DPState) (Solution, DPSt
 		rows = &rec.sp
 		snap = rec.noteSparseRow
 	}
-	rows.begin(0)
-
-	prevW, prevF := sparseRow0W, sparseRow0F
-	bufA, bufB := sc.spF, sc.spF2
-	defer func() { sc.spF, sc.spF2 = bufA, bufB }()
-	var spent int64
-
-	for i := 0; i < n; i++ {
-		stats.Rows++
-		var wrote []float64
-		var k int
-		prevW, prevF, wrote, k = sparseStep(rows, prevW, prevF, bufA, its[i], cap64, prune, limit-spent)
-		bufA, bufB = bufB, wrote
-		if k >= 0 {
-			spent += int64(k)
-			stats.SparseCells += int64(k)
-		}
-		if k < 0 || spent > limit {
-			return Solution{}, stats, sparseBudgetErr(limit, i+1, n)
-		}
-		if snap != nil {
-			snap(i+1, prevW, prevF)
-		}
-		// Adaptive switchover: once row occupancy crosses 1/8 of the grid
-		// the dense kernel's branch-free cells are cheaper than merge
-		// breakpoints, and the remaining dense table fits the state budget.
-		// Recorded solves never switch — a DPState keeps one representation.
-		if rec == nil && i+1 < n && int64(len(prevW))*8 > width {
-			if rem := int64(n-i-1) * width; rem <= denseLimit {
-				return d.finishSparseDense(ctx, cap64, i+1, prevW, prevF, rows, sc, stats)
-			}
-		}
+	prevW, prevF, done, err := d.sparseForward(sc, rows, its, cap64, prune, snap, &stats)
+	if err != nil {
+		return Solution{}, stats, err
+	}
+	if done < n {
+		return d.finishSparseDense(ctx, cap64, done, prevW, prevF, rows, sc, stats)
 	}
 
 	bestW, _ := minCostWorkloadSparse(prevW, prevF, ctx.energy, 1, ctx.fastEnergy)
@@ -257,6 +222,54 @@ func (d DP) solveSparse(ctx *evalCtx, cap64 int64, rec *DPState) (Solution, DPSt
 	}
 	sol, err := ctx.evaluate(ids)
 	return sol, stats, err
+}
+
+// sparseForward is the row loop of a cold sparse solve: it folds its into
+// sparse rows from row 0, appending each row to rows (begun afresh) with
+// sc.spF/sc.spF2 as the double-buffered value arrays, and returns the last
+// row produced and the number of items folded. MaxStates budgets the
+// breakpoints summed over all rows; passing it errors. snap, when
+// non-nil, observes every finished row, and such recorded runs fold every
+// item. Unrecorded runs stop early at the adaptive dense switchover: once
+// row occupancy crosses 1/8 of the grid the dense kernel's branch-free
+// cells are cheaper than merge breakpoints, so when the remaining dense
+// table fits the state budget the loop returns with done < len(its) and
+// the caller finishes on dense rows.
+func (d DP) sparseForward(sc *dpScratch, rows *sparseRows, its []item, cap64 int64, prune bool, snap func(int, []int64, []float64), stats *DPStats) (prevW []int64, prevF []float64, done int, err error) {
+	n := len(its)
+	limit := d.MaxStates
+	if limit == 0 {
+		limit = DefaultMaxSparseCells
+	}
+	denseLimit := d.MaxStates
+	if denseLimit == 0 {
+		denseLimit = DefaultMaxDPStates
+	}
+	width := cap64 + 1
+
+	rows.begin(0)
+	prevW, prevF = sparseRow0W, sparseRow0F
+	var spent int64
+	for i := 0; i < n; i++ {
+		stats.Rows++
+		var wrote []float64
+		var k int
+		prevW, prevF, wrote, k = sparseStep(rows, prevW, prevF, sc.spF, its[i], cap64, prune, limit-spent)
+		sc.spF, sc.spF2 = sc.spF2, wrote
+		if k >= 0 {
+			spent += int64(k)
+			stats.SparseCells += int64(k)
+		}
+		if k < 0 || spent > limit {
+			return nil, nil, i, sparseBudgetErr(limit, i+1, n)
+		}
+		if snap != nil {
+			snap(i+1, prevW, prevF)
+		} else if i+1 < n && int64(len(prevW))*8 > width && int64(n-i-1)*width <= denseLimit {
+			return prevW, prevF, i + 1, nil
+		}
+	}
+	return prevW, prevF, n, nil
 }
 
 // finishSparseDense continues a sparse solve on the dense kernels from row

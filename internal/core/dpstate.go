@@ -293,7 +293,7 @@ func (d DP) SolveFrom(st *DPState, in Instance, evolve bool) (sol Solution, stat
 	if ctx.hetero {
 		return Solution{}, stats, false, ErrHeterogeneous
 	}
-	cap64 := int64(math.Floor(ctx.capacity * (1 + 1e-12)))
+	cap64 := dpCapacity(ctx.capacity)
 	if cap64 != st.cap64 {
 		return Solution{}, stats, false, nil
 	}

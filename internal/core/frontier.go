@@ -33,7 +33,7 @@ func ParetoFrontier(in Instance) ([]FrontierPoint, error) {
 		return nil, ErrHeterogeneous
 	}
 	its := ctx.items
-	cap64 := int64(math.Floor(ctx.capacity * (1 + 1e-12)))
+	cap64 := dpCapacity(ctx.capacity)
 	if work := int64(len(its)) * (cap64 + 1); work > DefaultMaxDPStates {
 		return nil, fmt.Errorf("core: frontier needs %d states, over the limit %d", work, DefaultMaxDPStates)
 	}

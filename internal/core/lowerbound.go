@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // DefaultLowerBoundStates bounds the floor-scaled grid CostLowerBound
 // builds: small enough that the bound costs well under a millisecond at
@@ -46,7 +43,7 @@ func CostLowerBound(in Instance, maxStates int64) (float64, error) {
 	if !ctx.fastEnergy {
 		return 0, fmt.Errorf("core: cost lower bound needs a monotone energy curve (continuous speeds, dormancy disabled)")
 	}
-	cap64 := int64(math.Floor(ctx.capacity * (1 + 1e-12)))
+	cap64 := dpCapacity(ctx.capacity)
 	if cap64 < 0 {
 		return 0, fmt.Errorf("core: negative DP capacity %d", cap64)
 	}

@@ -1,0 +1,8 @@
+package multiproc
+
+// The reference copies of differential_test.go, exported to the external
+// fuzz target in fuzz_test.go.
+var (
+	RefHeteroPartition  = refHeteroPartition
+	RefHeteroLowerBound = refHeteroLowerBound
+)

@@ -2,7 +2,8 @@
 // instances are lifted into two-type processor vectors (shape and speed
 // ratio fuzzed alongside the bytes) and the tier's contracts are checked —
 // every solution survives the heterogeneous partition oracle (including
-// per-processor EDF replay), HETERO-PART never costs more than HETERO-LS,
+// per-processor EDF replay), HETERO-PART and HeteroLowerBound match their
+// reference copies bit for bit, HETERO-PART never costs more than HETERO-LS,
 // nothing undercuts the certified HeteroLowerBound or the exhaustive
 // optimum, and on an all-equal vector the hetero solvers degenerate bit
 // for bit (node counts included) to the identical-processor ones.
@@ -10,6 +11,7 @@ package multiproc_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"dvsreject/internal/core"
@@ -72,6 +74,13 @@ func checkHeteroFuzz(ratio, mCount, nBig int) func(core.Instance) error {
 		if err != nil {
 			return fmt.Errorf("HETERO-PART: %w", err)
 		}
+		ref, err := multiproc.RefHeteroPartition(multiproc.HeteroPartition{}, in)
+		if err != nil {
+			return fmt.Errorf("HETERO-PART reference: %w", err)
+		}
+		if err := oracle.EqualPartitionSolutions(fuzzPartitionOf(part), fuzzPartitionOf(ref)); err != nil {
+			return fmt.Errorf("HETERO-PART vs reference: %w", err)
+		}
 		ls, err := (multiproc.HeteroLTFRejectLS{}).Solve(in)
 		if err != nil {
 			return fmt.Errorf("HETERO-LS: %w", err)
@@ -86,6 +95,10 @@ func checkHeteroFuzz(ratio, mCount, nBig int) func(core.Instance) error {
 			return err
 		}
 		lb, lbErr := multiproc.HeteroLowerBound(in, 0)
+		if refLB, refErr := multiproc.RefHeteroLowerBound(in, 0); (lbErr == nil) != (refErr == nil) ||
+			math.Float64bits(lb) != math.Float64bits(refLB) {
+			return fmt.Errorf("HeteroLowerBound %v (%v), reference %v (%v)", lb, lbErr, refLB, refErr)
+		}
 		if lbErr == nil {
 			if err := oracle.CheckNotBelow("HETERO-PART vs HeteroLowerBound", part.Cost, lb, 1e-9); err != nil {
 				return err

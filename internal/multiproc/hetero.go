@@ -612,13 +612,15 @@ func (s *heteroSearcher) dfs(i int, penalty float64) {
 // is solved *optimally* by the single-processor rejection DP, and a
 // bounded best-improvement move search re-solves the two affected
 // processors when migrating a task's ownership (or swapping two tasks'
-// owners) lowers the total cost. Every per-processor probe runs on sparse
-// rows (core.SparseOn, reusing one core.ProcProfile per distinct
-// profile): a probe owns a handful of tasks and reaches only a few dozen
-// workloads, the sparse kernel returns the dense kernel's bits, and it
-// switches to dense rows by itself once a row fills an eighth of the
-// grid. The move search stops at a fixed point — a full pass of probes
-// since the last applied move — or after MaxPasses passes.
+// owners) lowers the total cost. Every per-processor probe is priced by a
+// core.SubsetDP on sparse rows (core.SparseOn; one per distinct profile,
+// validated once per solve): a probe owns a handful of tasks and reaches
+// only a few dozen workloads, the sparse kernel returns the dense
+// kernel's bits, and the refinement reads only the optimal cost. Accept
+// sets are solved only where they are used — seed C's cascade and the
+// winning seed's final lists. The move search stops at a fixed point — a
+// full pass of probes since the last applied move — or after MaxPasses
+// passes.
 // Three ownership seeds are refined and the cheapest result kept: a
 // penalty-density/normalized-load constructive pass, the
 // HeteroLTFRejectLS solution — whose accept set each per-processor DP can
@@ -649,47 +651,35 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 	tasks := in.Tasks.Tasks
 	mCount := in.M()
 
-	// One ProcProfile per distinct profile, shared across that group's DP
-	// solves.
-	profiles := make([]*core.ProcProfile, mCount)
-	for m := range profiles {
+	// One core.SubsetDP per distinct profile prices that group's probes:
+	// the instance is validated and its evaluation context built once, and
+	// a probe returns only the DP's optimal cost. Empty ownership
+	// short-circuits to the idle energy.
+	dp := core.DP{MaxStates: h.MaxStates, Sparse: core.SparseOn}
+	probes := make([]*core.SubsetDP, mCount)
+	for m := range probes {
 		if g := c.typeOf[m]; g != m {
-			profiles[m] = profiles[g]
+			probes[m] = probes[g]
 			continue
 		}
 		pp, err := core.NewProcProfile(in.Procs[m])
 		if err != nil {
 			return Solution{}, err
 		}
-		profiles[m] = pp
+		s, err := core.NewSubsetDP(dp, core.Instance{Tasks: in.Tasks, Proc: in.Procs[m]}.WithProcProfile(pp))
+		if err != nil {
+			return Solution{}, err
+		}
+		probes[m] = s
 	}
-
-	// Per-processor optimal accept/reject via the rejection DP on sparse
-	// rows (see the type comment). Each probe's task subset is rebuilt in
-	// one reused buffer, which the DP reads only while it runs. Empty
-	// ownership short-circuits to the idle-energy solution.
-	dp := core.DP{MaxStates: h.MaxStates, Sparse: core.SparseOn}
-	sub := make([]task.Task, 0, len(tasks))
-	solveProc := func(m int, owned []int) (core.Solution, error) {
+	costProc := func(m int, owned []int) (float64, error) {
 		if len(owned) == 0 {
-			idle := c.energyAt(m, 0)
-			return core.Solution{Energy: idle, Cost: idle}, nil
+			return c.energyAt(m, 0), nil
 		}
-		sub = sub[:0]
-		for _, ti := range owned {
-			sub = append(sub, tasks[ti])
-		}
-		ci := core.Instance{Tasks: task.Set{Deadline: in.Tasks.Deadline, Tasks: sub}, Proc: in.Procs[m]}.WithProcProfile(profiles[m])
-		return dp.Solve(ci)
+		return probes[m].Cost(owned)
 	}
 
-	// Ownership lists live in one arena of M+2 segments of n slots: one
-	// per processor plus two probe lists. No list ever holds more than n
-	// tasks, so appends stay inside their segment, and an applied move
-	// swaps the probe list in as the processor's list instead of copying.
 	n := len(tasks)
-	arena := make([]int, (mCount+2)*n)
-	segment := func(k int) []int { return arena[k*n : k*n : (k+1)*n] }
 	without := func(dst, owned []int, ti int) []int {
 		dst = dst[:0]
 		for _, x := range owned {
@@ -700,9 +690,9 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 		return dst
 	}
 
-	// refine solves each processor's DP on the seed ownership, then runs
+	// refine prices each processor's DP on the seed ownership, then runs
 	// bounded best-improvement move passes — migrating one task's ownership
-	// re-solves only the two touched processors. On small instances each
+	// re-prices only the two touched processors. On small instances each
 	// pass also tries pairwise owner swaps (the coordinated exchanges that
 	// single migrations cannot reach); the O(n²) swap scan is skipped past
 	// heteroSwapLimit tasks to keep large serve solves at O(n·M) DP calls.
@@ -722,7 +712,15 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 	if doSwaps {
 		cycle += n * (n - 1) / 2
 	}
-	refine := func(owner []int) ([]core.Solution, float64, error) {
+	refine := func(owner []int) ([][]int, float64, error) {
+		// The ownership lists live in one arena of M+2 segments of n
+		// slots: one per processor plus two probe lists. No list ever
+		// holds more than n tasks, so appends stay inside their segment,
+		// and an applied move swaps the probe list in as the processor's
+		// list instead of copying. The lists outlive the call: the winning
+		// seed's are solved once more for their accept sets.
+		arena := make([]int, (mCount+2)*n)
+		segment := func(k int) []int { return arena[k*n : k*n : (k+1)*n] }
 		owned := make([][]int, mCount)
 		for m := range owned {
 			owned[m] = segment(m)
@@ -731,13 +729,13 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 		for ti, m := range owner {
 			owned[m] = append(owned[m], ti)
 		}
-		procSols := make([]core.Solution, mCount)
+		costs := make([]float64, mCount)
 		for m := 0; m < mCount; m++ {
-			sol, err := solveProc(m, owned[m])
+			cost, err := costProc(m, owned[m])
 			if err != nil {
 				return nil, 0, err
 			}
-			procSols[m] = sol
+			costs[m] = cost
 		}
 		stale := 0 // probe positions since the last applied move
 		settled := func(moved bool) bool {
@@ -753,32 +751,32 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 			for ti := range tasks {
 				from := owner[ti]
 				probeA = without(probeA, owned[from], ti)
-				fromSol, err := solveProc(from, probeA)
+				fromCost, err := costProc(from, probeA)
 				if err != nil {
 					return nil, 0, err
 				}
 				bestDelta := -1e-9
 				bestTo := -1
-				var bestToSol core.Solution
+				var bestToCost float64
 				for to := 0; to < mCount; to++ {
 					if to == from {
 						continue
 					}
 					probeB = append(append(probeB[:0], owned[to]...), ti)
-					toSol, err := solveProc(to, probeB)
+					toCost, err := costProc(to, probeB)
 					if err != nil {
 						return nil, 0, err
 					}
-					delta := (fromSol.Cost + toSol.Cost) - (procSols[from].Cost + procSols[to].Cost)
+					delta := (fromCost + toCost) - (costs[from] + costs[to])
 					if delta < bestDelta {
-						bestDelta, bestTo, bestToSol = delta, to, toSol
+						bestDelta, bestTo, bestToCost = delta, to, toCost
 					}
 				}
 				if bestTo >= 0 {
 					owned[bestTo] = append(owned[bestTo], ti)
 					owned[from], probeA = probeA, owned[from]
 					owner[ti] = bestTo
-					procSols[from], procSols[bestTo] = fromSol, bestToSol
+					costs[from], costs[bestTo] = fromCost, bestToCost
 				}
 				if settled(bestTo >= 0) {
 					break refining
@@ -791,20 +789,20 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 					if pa != pb {
 						probeA = append(without(probeA, owned[pa], ti), tj)
 						probeB = append(without(probeB, owned[pb], tj), ti)
-						aSol, err := solveProc(pa, probeA)
+						aCost, err := costProc(pa, probeA)
 						if err != nil {
 							return nil, 0, err
 						}
-						bSol, err := solveProc(pb, probeB)
+						bCost, err := costProc(pb, probeB)
 						if err != nil {
 							return nil, 0, err
 						}
-						delta := (aSol.Cost + bSol.Cost) - (procSols[pa].Cost + procSols[pb].Cost)
+						delta := (aCost + bCost) - (costs[pa] + costs[pb])
 						if moved = delta < -1e-9; moved {
 							owned[pa], probeA = probeA, owned[pa]
 							owned[pb], probeB = probeB, owned[pb]
 							owner[ti], owner[tj] = pb, pa
-							procSols[pa], procSols[pb] = aSol, bSol
+							costs[pa], costs[pb] = aCost, bCost
 						}
 					}
 					if settled(moved) {
@@ -814,10 +812,10 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 			}
 		}
 		total := 0.0
-		for _, s := range procSols {
-			total += s.Cost
+		for _, cost := range costs {
+			total += cost
 		}
-		return procSols, total, nil
+		return owned, total, nil
 	}
 
 	// Seed A: tasks in non-increasing penalty density, each owned by the
@@ -854,7 +852,7 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 	for _, ti := range ord {
 		normalizedOwner(ownerA, loadsA, ti)
 	}
-	solsA, costA, err := refine(ownerA)
+	ownedA, costA, err := refine(ownerA)
 	if err != nil {
 		return Solution{}, err
 	}
@@ -888,7 +886,7 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 			normalizedOwner(ownerB, loadsB, ti)
 		}
 	}
-	solsB, costB, err := refine(ownerB)
+	ownedB, costB, err := refine(ownerB)
 	if err != nil {
 		return Solution{}, err
 	}
@@ -918,7 +916,7 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 		if len(remaining) == 0 {
 			break
 		}
-		sol, err := solveProc(m, remaining)
+		sol, err := probes[m].Solve(remaining)
 		if err != nil {
 			return Solution{}, err
 		}
@@ -947,23 +945,32 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 			normalizedOwner(ownerC, loadsC, ti)
 		}
 	}
-	solsC, costC, err := refine(ownerC)
+	ownedC, costC, err := refine(ownerC)
 	if err != nil {
 		return Solution{}, err
 	}
 
-	procSols, bestCost := solsA, costA
+	owned, bestCost := ownedA, costA
 	if costB < bestCost {
-		procSols, bestCost = solsB, costB
+		owned, bestCost = ownedB, costB
 	}
 	if costC < bestCost {
-		procSols = solsC
+		owned = ownedC
 	}
 
-	// Assemble the assignment from each processor's accepted set.
+	// Assemble the assignment from each processor's accepted set: the
+	// winning lists are solved once more, now for the accept sets their
+	// probes priced.
 	assign := Assignment{}
 	for m := 0; m < mCount; m++ {
-		for _, id := range procSols[m].Accepted {
+		if len(owned[m]) == 0 {
+			continue
+		}
+		sol, err := probes[m].Solve(owned[m])
+		if err != nil {
+			return Solution{}, err
+		}
+		for _, id := range sol.Accepted {
 			assign[id] = m
 		}
 	}
@@ -1050,7 +1057,9 @@ func HeteroLowerBound(in HeteroInstance, maxStates int64) (float64, error) {
 	// Pooled grid curve: ascending merge of per-processor marginal
 	// increments over the scaled grid, suffix-min'd so each stream is
 	// genuinely nondecreasing (float jitter can otherwise let the greedy
-	// merge pick a non-minimal prefix selection).
+	// merge pick a non-minimal prefix selection). Bit-equal processors
+	// have bit-equal streams, so each group builds one and shares it;
+	// the merge reads it through per-processor heads.
 	lims := make([]int64, mCount)
 	var gridT int64
 	for m := range caps {
@@ -1058,7 +1067,14 @@ func HeteroLowerBound(in HeteroInstance, maxStates int64) (float64, error) {
 		gridT += lims[m]
 	}
 	margs := make([][]float64, mCount)
+streams:
 	for m := range margs {
+		for g := 0; g < m; g++ {
+			if procsEqual(in.Procs[g], in.Procs[m]) {
+				margs[m] = margs[g]
+				continue streams
+			}
+		}
 		mg := make([]float64, lims[m])
 		// Each grid energy is evaluated once and carried to the next
 		// marginal: the same operands, so the same bits.
@@ -1111,6 +1127,9 @@ func HeteroLowerBound(in HeteroInstance, maxStates int64) (float64, error) {
 	// Accept/reject DP against the pooled curve. The reachable scaled
 	// total is bounded by gridT + (M−1): a feasible real split floors to
 	// Σ_m j_m ≥ t − (M−1), so any heavier t is infeasible for real too.
+	// Each item runs only over the row's reachable prefix — every cell
+	// above it is +Inf and would stay +Inf — and an unreachable keep
+	// needs no test: +Inf never wins keep < rej.
 	shift := int64(mCount - 1)
 	width := sumScaled
 	if width > gridT+shift {
@@ -1120,10 +1139,12 @@ func HeteroLowerBound(in HeteroInstance, maxStates int64) (float64, error) {
 	for t := int64(1); t <= width; t++ {
 		dp[t] = math.Inf(1)
 	}
+	var reach int64
 	for _, it := range items {
-		for t := width; t >= 0; t-- {
+		reach = min(reach+it.c, width)
+		for t := reach; t >= 0; t-- {
 			keep := math.Inf(1)
-			if t >= it.c && !math.IsInf(dp[t-it.c], 1) {
+			if t >= it.c {
 				keep = dp[t-it.c]
 			}
 			rej := dp[t] + it.v
@@ -1135,10 +1156,7 @@ func HeteroLowerBound(in HeteroInstance, maxStates int64) (float64, error) {
 		}
 	}
 	best := math.Inf(1)
-	for t := int64(0); t <= width; t++ {
-		if math.IsInf(dp[t], 1) {
-			continue
-		}
+	for t := int64(0); t <= reach; t++ {
 		g := t - shift
 		if g < 0 {
 			g = 0

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 
 	"dvsreject/internal/speed"
@@ -148,8 +149,9 @@ func sortedTasks(ts []task.Task) []task.Task {
 // depends on, task order included, Timeout excluded. Each field is
 // self-delimiting, so two requests encode equally exactly when they are
 // bit-identical. The plan cache keeps this encoding in place of a cloned
-// request, which is why IDs, cycles and Rho bits go in as varints: one or
-// two bytes each for typical values instead of eight.
+// request, which is why IDs, cycles and Rho bits go in as varints, and
+// processor floats as short codes (appendExactProc): one to three bytes
+// each for typical values instead of eight.
 func appendExact(buf []byte, req Request) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(req.Solver)))
 	buf = append(buf, req.Solver...)
@@ -158,10 +160,10 @@ func appendExact(buf []byte, req Request) []byte {
 	} else {
 		buf = append(buf, 0)
 	}
-	buf = appendProc(buf, req.Proc, 0)
+	buf = appendExactProc(buf, req.Proc)
 	buf = binary.AppendUvarint(buf, uint64(len(req.Procs)))
 	for _, p := range req.Procs {
-		buf = appendProc(buf, p, 0)
+		buf = appendExactProc(buf, p)
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(req.Tasks.Deadline))
 	buf = binary.AppendUvarint(buf, uint64(len(req.Tasks.Tasks)))
@@ -172,6 +174,37 @@ func appendExact(buf []byte, req Request) []byte {
 		buf = binary.AppendUvarint(buf, math.Float64bits(t.Rho))
 	}
 	return buf
+}
+
+// appendExactProc is appendProc's exact-key form: the same fields, each
+// float as the uvarint of its byte-reversed bits. Processor floats are
+// short binary fractions (0, 0.5, 1, 3), whose set bits all sit in the
+// sign, exponent and top mantissa bytes; reversed, those are the low
+// bytes, so the code takes 1–3 bytes instead of 8. The reversal is a
+// bijection and the uvarint self-delimiting, so the code stays exact.
+// Fingerprint keeps appendProc's fixed-width layout: ring routing hashes
+// it.
+func appendExactProc(buf []byte, p speed.Proc) []byte {
+	buf = appendShortFloat(buf, p.Model.Pind)
+	buf = appendShortFloat(buf, p.Model.Coeff)
+	buf = appendShortFloat(buf, p.Model.Alpha)
+	buf = appendShortFloat(buf, p.SMin)
+	buf = appendShortFloat(buf, p.SMax)
+	if p.DormantEnable {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+	buf = appendShortFloat(buf, p.Esw)
+	buf = binary.AppendUvarint(buf, uint64(len(p.Levels)))
+	for _, l := range p.Levels {
+		buf = appendShortFloat(buf, l)
+	}
+	return buf
+}
+
+func appendShortFloat(buf []byte, x float64) []byte {
+	return binary.AppendUvarint(buf, bits.ReverseBytes64(math.Float64bits(x)))
 }
 
 // exactKey returns appendExact(req) in an exact-size slice, for keeping.

@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"dvsreject/internal/gen"
 	"dvsreject/internal/power"
 	"dvsreject/internal/speed"
 	"dvsreject/internal/task"
@@ -105,5 +110,60 @@ func TestSortedTasksNoCopyWhenSorted(t *testing.T) {
 	}
 	if rev[0].ID != 3 {
 		t.Error("sortedTasks mutated its input")
+	}
+}
+
+// TestExactKeyHerdM4 pins the plan-cache key of a JSON-decoded
+// hetero-herd request (n=18 on an M=4 big.LITTLE vector): processor
+// floats take 1–3 bytes each, not 8. A one-ulp change to any processor
+// float still changes the key.
+func TestExactKeyHerdM4(t *testing.T) {
+	procs, err := gen.BigLittle(gen.BigLittleConfig{NBig: 2, NLittle: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := gen.Frame(rand.New(rand.NewSource(3)), gen.Config{N: 18, Load: 1.2 * 3, Penalty: gen.PenaltyModel(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := WireRequest{Solver: "DP", Deadline: set.Deadline}
+	for _, tk := range set.Tasks {
+		w.Tasks = append(w.Tasks, WireTask{ID: tk.ID, Cycles: tk.Cycles, Penalty: tk.Penalty})
+	}
+	for _, p := range procs {
+		w.Procs = append(w.Procs, WireProc{SMax: p.SMax})
+	}
+	body, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec WireRequest
+	if err := decodeWire(bytes.NewReader(body), &dec); err != nil {
+		t.Fatal(err)
+	}
+	req, err := dec.ToRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(exactKey(req)), 290; got != want {
+		t.Errorf("exact key of the n=18 M=4 request is %d bytes, want %d", got, want)
+	}
+	up := func(x *float64) { *x = math.Nextafter(*x, math.Inf(1)) }
+	for name, mutate := range map[string]func(*speed.Proc){
+		"pind":  func(p *speed.Proc) { up(&p.Model.Pind) },
+		"coeff": func(p *speed.Proc) { up(&p.Model.Coeff) },
+		"alpha": func(p *speed.Proc) { up(&p.Model.Alpha) },
+		"smin":  func(p *speed.Proc) { up(&p.SMin) },
+		"smax":  func(p *speed.Proc) { up(&p.SMax) },
+		"esw":   func(p *speed.Proc) { up(&p.Esw) },
+	} {
+		for i := range req.Procs {
+			mut := req
+			mut.Procs = slices.Clone(req.Procs)
+			mutate(&mut.Procs[i])
+			if requestsEqual(req, mut) {
+				t.Errorf("procs[%d].%s one ulp up still compares equal", i, name)
+			}
+		}
 	}
 }

@@ -9,6 +9,8 @@ package serve
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"dvsreject/internal/core"
@@ -77,6 +79,61 @@ func TestSolveHeteroMatchesDirect(t *testing.T) {
 	}
 	if got := e.Stats().HeteroSolves; got != 1 {
 		t.Errorf("HeteroSolves = %d after a cache hit, want 1", got)
+	}
+}
+
+// TestHeteroAnswerRebuiltExactly: a cached hetero entry keeps only its
+// task placement, and every answer — the cold solve, a coalesced waiter,
+// a cache hit — rebuilds Accepted, Rejected and PerProc exactly as the
+// direct solve lists them, nil rows of idle processors included.
+// Mutating one answer leaves the next hit untouched.
+func TestHeteroAnswerRebuiltExactly(t *testing.T) {
+	big, little := speed.Proc{Model: power.Cubic(), SMax: 1}, speed.Proc{Model: power.Cubic(), SMax: 0.5}
+	shuffled := testSet(t, 7, 12)
+	slices.Reverse(shuffled.Tasks)
+	cheap := testSet(t, 8, 6)
+	for i := range cheap.Tasks {
+		cheap.Tasks[i].Penalty = 1e-9 // everything rejected
+	}
+	cases := map[string]Request{
+		"herd":         {Tasks: testSet(t, 3, 18), Procs: []speed.Proc{big, big, little, little}},
+		"idle-proc":    {Tasks: testSet(t, 4, 2), Procs: []speed.Proc{big, little, little}},
+		"ids-reversed": {Tasks: shuffled, Procs: []speed.Proc{big, little}},
+		"all-rejected": {Tasks: cheap, Procs: []speed.Proc{big, little}},
+	}
+	for name, req := range cases {
+		res, err := multiproc.SolveHeteroCertified(multiproc.HeteroInstance{Tasks: req.Tasks, Procs: req.Procs}, multiproc.HeteroPartition{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted := []int{}
+		for _, ids := range res.PerProc {
+			accepted = append(accepted, ids...)
+		}
+		slices.Sort(accepted)
+		wantHetero := &HeteroInfo{PerProc: res.PerProc, Energies: res.Energies, LowerBound: res.LowerBound, Gap: res.Gap}
+
+		e := New(Config{})
+		for i, label := range []string{"cold", "hit", "hit after mutation"} {
+			resp := e.Solve(context.Background(), req)
+			if resp.Err != nil || resp.CacheHit != (i > 0) {
+				t.Fatalf("%s %s: err %v, cache hit %v", name, label, resp.Err, resp.CacheHit)
+			}
+			if !reflect.DeepEqual(resp.Solution.Accepted, accepted) || !reflect.DeepEqual(resp.Solution.Rejected, res.Rejected) ||
+				!reflect.DeepEqual(resp.Hetero, wantHetero) || resp.Solution.Cost != res.Cost {
+				t.Fatalf("%s %s: accepted %v rejected %v hetero %+v; direct %v %v %+v",
+					name, label, resp.Solution.Accepted, resp.Solution.Rejected, resp.Hetero, accepted, res.Rejected, wantHetero)
+			}
+			for _, ids := range resp.Hetero.PerProc {
+				for j := range ids {
+					ids[j] = -1
+				}
+			}
+			for j := range resp.Solution.Accepted {
+				resp.Solution.Accepted[j] = -1
+			}
+			resp.Hetero.Energies[0] = -1
+		}
 	}
 }
 

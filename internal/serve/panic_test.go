@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dvsreject/internal/conc"
 	"dvsreject/internal/core"
 )
 
@@ -70,5 +71,55 @@ func TestSolverPanicContained(t *testing.T) {
 	resp, body = postJSON(t, srv.URL+"/batch", WireBatch{Requests: []WireRequest{wbad, wireInstance(4, 8)}})
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "solver panicked") {
 		t.Errorf("/batch on a panic: %d %s, want 200 with the panic inline", resp.StatusCode, body)
+	}
+}
+
+// workerPanicSolver panics on the second worker of a 2-worker
+// conc.ForEach, the fan-out every parallel solver goes through.
+type workerPanicSolver struct{ calls *atomic.Int64 }
+
+func (workerPanicSolver) Name() string { return "WORKER-PANIC-TEST" }
+
+func (p workerPanicSolver) Solve(core.Instance) (core.Solution, error) {
+	p.calls.Add(1)
+	conc.ForEach(2, 2, func(i int) (struct{}, error) {
+		if i == 1 {
+			panic("injected worker panic")
+		}
+		return struct{}{}, nil
+	})
+	return core.Solution{}, nil
+}
+
+// TestSolverWorkerPanicContained: a panic on a solver's worker goroutine
+// reaches the engine's recover through conc.ForEach's re-panic, so the
+// request gets a 500 wrapping ErrSolverPanic and the daemon lives on,
+// with no cache entry kept and a repeat request running the solver again.
+func TestSolverWorkerPanicContained(t *testing.T) {
+	var calls atomic.Int64
+	core.RegisterSolver("WORKER-PANIC-TEST", func(core.SolverSpec) (core.Solver, error) { return workerPanicSolver{&calls}, nil })
+	e := New(Config{})
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+	req := wireInstance(5, 8)
+	req.Solver = "WORKER-PANIC-TEST"
+
+	resp, body := postJSON(t, srv.URL+"/solve", req)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "solver panicked") ||
+		!strings.Contains(string(body), "injected worker panic") {
+		t.Fatalf("/solve on a worker panic: %d %s, want 500 naming the panic", resp.StatusCode, body)
+	}
+	if st := e.Stats(); st.Panics != 1 || st.Cache.Entries != 0 {
+		t.Fatalf("after the panic: panics %d, cache entries %d; want 1, 0", st.Panics, st.Cache.Entries)
+	}
+	r, err := req.ToRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := e.Solve(context.Background(), r); !errors.Is(resp.Err, ErrSolverPanic) {
+		t.Fatalf("repeat: error %v, want ErrSolverPanic", resp.Err)
+	}
+	if calls.Load() != 2 || e.Stats().Panics != 2 {
+		t.Fatalf("repeat: %d solver calls, %d panics; want 2, 2", calls.Load(), e.Stats().Panics)
 	}
 }

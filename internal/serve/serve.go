@@ -205,7 +205,72 @@ type entry struct {
 	sol     core.Solution
 	anytime bool
 	gap     float64
-	hetero  *HeteroInfo
+	hetero  *heteroPlan
+}
+
+// heteroPlan is a hetero entry's extension in compact form: the
+// HeteroInfo with PerProc left nil, and place[i], the processor of request
+// task i (-1 when rejected). The entry's sol keeps no ID lists either:
+// answer rebuilds Accepted, Rejected and PerProc from place and the
+// request, which a hit has just shown bit-identical, so a cached hetero
+// frame holds n int32s instead of M+2 lists of task IDs.
+type heteroPlan struct {
+	info  HeteroInfo
+	place []int32
+}
+
+// newEntry builds the entry of a request solved into sol (and hi, for a
+// hetero request).
+func newEntry(req Request, sol core.Solution, an anytimeNote, hi *HeteroInfo) entry {
+	ent := entry{key: exactKey(req), sol: sol, anytime: an.used, gap: an.gap}
+	if hi == nil {
+		return ent
+	}
+	procOf := make(map[int]int32, len(sol.Accepted))
+	for m, ids := range hi.PerProc {
+		for _, id := range ids {
+			procOf[id] = int32(m)
+		}
+	}
+	plan := &heteroPlan{info: *hi, place: make([]int32, len(req.Tasks.Tasks))}
+	plan.info.PerProc = nil
+	for i, t := range req.Tasks.Tasks {
+		m, ok := procOf[t.ID]
+		if !ok {
+			m = -1
+		}
+		plan.place[i] = m
+	}
+	ent.hetero = plan
+	ent.sol.Accepted, ent.sol.Rejected = nil, nil
+	return ent
+}
+
+// answer returns the entry's solution and hetero extension for req — the
+// request it was solved for, bit for bit — in fresh slices the caller may
+// mutate without corrupting the cache.
+func (ent entry) answer(req Request) (core.Solution, *HeteroInfo) {
+	if ent.hetero == nil {
+		return cloneSolution(ent.sol), nil
+	}
+	sol, h := ent.sol, ent.hetero.info
+	h.Energies = slices.Clone(h.Energies)
+	h.PerProc = make([][]int, len(req.Procs))
+	sol.Accepted = make([]int, 0, len(req.Tasks.Tasks))
+	for i, t := range req.Tasks.Tasks {
+		if m := ent.hetero.place[i]; m >= 0 {
+			sol.Accepted = append(sol.Accepted, t.ID)
+			h.PerProc[m] = append(h.PerProc[m], t.ID)
+		} else {
+			sol.Rejected = append(sol.Rejected, t.ID)
+		}
+	}
+	slices.Sort(sol.Accepted)
+	slices.Sort(sol.Rejected)
+	for _, ids := range h.PerProc {
+		slices.Sort(ids)
+	}
+	return sol, &h
 }
 
 // anytimeNote rides alongside a solution through run/runSolver so the
@@ -365,7 +430,8 @@ func (e *Engine) solveOne(ctx context.Context, req Request, pp *core.ProcProfile
 
 	if ent, ok := e.cache.Get(fp); ok {
 		if sameRequest(ent.key, req) {
-			return Response{Solution: cloneSolution(ent.sol), CacheHit: true, Hetero: cloneHetero(ent.hetero)}
+			sol, hi := ent.answer(req)
+			return Response{Solution: sol, CacheHit: true, Hetero: hi}
 		}
 		// Slot collision: same fingerprint, different bits. Solve
 		// directly — storing would evict the slot's owner on every
@@ -381,7 +447,7 @@ func (e *Engine) solveOne(ctx context.Context, req Request, pp *core.ProcProfile
 		if solveErr != nil {
 			return entry{}, solveErr
 		}
-		ent := entry{key: exactKey(creq), sol: sol, anytime: an.used, gap: an.gap, hetero: hi}
+		ent := newEntry(creq, sol, an, hi)
 		if !an.used {
 			// Anytime answers are budget-dependent, not bit-reproducible:
 			// caching (or replicating) one would let it shadow a later
@@ -408,7 +474,8 @@ func (e *Engine) solveOne(ctx context.Context, req Request, pp *core.ProcProfile
 	if shared {
 		e.coalesced.Add(1)
 	}
-	return Response{Solution: cloneSolution(ent.sol), Coalesced: shared, Anytime: ent.anytime, Gap: ent.gap, Hetero: cloneHetero(ent.hetero)}
+	sol, hi := ent.answer(req)
+	return Response{Solution: sol, Coalesced: shared, Anytime: ent.anytime, Gap: ent.gap, Hetero: hi}
 }
 
 // run resolves the solver and executes it, attaching the precomputed
@@ -666,21 +733,6 @@ func cloneRequest(req Request) Request {
 		req.Procs = procs
 	}
 	return req
-}
-
-// cloneHetero deep-copies a response's hetero extension so callers may
-// mutate their response without corrupting the cache.
-func cloneHetero(h *HeteroInfo) *HeteroInfo {
-	if h == nil {
-		return nil
-	}
-	c := *h
-	c.PerProc = make([][]int, len(h.PerProc))
-	for i, ids := range h.PerProc {
-		c.PerProc[i] = slices.Clone(ids)
-	}
-	c.Energies = slices.Clone(h.Energies)
-	return &c
 }
 
 // cloneSolution deep-copies the solution's slices so callers may mutate
