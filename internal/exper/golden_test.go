@@ -1,6 +1,8 @@
 package exper
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -48,6 +50,45 @@ func TestSuiteSerialParallelByteIdentical(t *testing.T) {
 		d := diffLine(serial, parallel)
 		t.Fatalf("serial and parallel suite output diverge (first differing line %d):\nserial:   %q\nparallel: %q",
 			d.line, d.a, d.b)
+	}
+}
+
+// TestSuiteMatchesCommittedOutput pins experiments_output.txt: the full
+// suite at seed 1 (what go run ./cmd/experiments prints) must reproduce
+// every committed table byte for byte, except E4 and E8, whose runtime
+// columns are wall-clock.
+func TestSuiteMatchesCommittedOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite in -short mode")
+	}
+	data, err := os.ReadFile(filepath.Join("..", "..", "experiments_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := map[string]string{}
+	for _, block := range strings.Split(string(data), "\n\n") {
+		if id, _, ok := strings.Cut(block, " — "); ok {
+			committed[id] = block + "\n"
+		}
+	}
+	results, err := RunSuite(All(), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		id := r.Table.ID
+		if id == "E4" || id == "E8" {
+			continue
+		}
+		want, ok := committed[id]
+		if !ok {
+			t.Errorf("%s: no table in experiments_output.txt", id)
+			continue
+		}
+		if got := r.Table.Format(); got != want {
+			d := diffLine(got, want)
+			t.Errorf("%s differs from experiments_output.txt at line %d:\ngot:  %q\nwant: %q", id, d.line, d.a, d.b)
+		}
 	}
 }
 

@@ -5,8 +5,9 @@
 // per-processor EDF replay), HETERO-PART and HeteroLowerBound match their
 // reference copies bit for bit, HETERO-PART never costs more than HETERO-LS,
 // nothing undercuts the certified HeteroLowerBound or the exhaustive
-// optimum, and on an all-equal vector the hetero solvers degenerate bit
-// for bit (node counts included) to the identical-processor ones.
+// optimum, and on an all-equal vector HETERO-LS and HETERO-OPT match the
+// seed copies of the identical-processor solvers bit for bit (node counts
+// included).
 package multiproc_test
 
 import (
@@ -122,27 +123,27 @@ func checkHeteroFuzz(ratio, mCount, nBig int) func(core.Instance) error {
 			}
 		}
 
-		// All-equal vector: the hetero path must degenerate bit for bit to
-		// the identical-processor solvers, node counts included.
+		// All-equal vector: the hetero solvers must reproduce the seed
+		// identical-processor solvers bit for bit, node counts included.
 		if ratio == 1 || nBig == mCount {
 			ident := multiproc.Instance{Tasks: in.Tasks, Proc: in.Procs[0], M: mCount}
-			want, err := (multiproc.LTFRejectLS{}).Solve(ident)
+			want, err := multiproc.RefLTFRejectLS(multiproc.LTFRejectLS{}, ident)
 			if err != nil {
-				return fmt.Errorf("LTF-REJECT-LS (degenerate): %w", err)
+				return fmt.Errorf("LTF-REJECT-LS reference (degenerate): %w", err)
 			}
 			if err := oracle.EqualPartitionSolutions(fuzzPartitionOf(ls), fuzzPartitionOf(want)); err != nil {
-				return fmt.Errorf("degeneracy HETERO-LS vs LTF-REJECT-LS: %w", err)
+				return fmt.Errorf("degeneracy HETERO-LS vs LTF-REJECT-LS reference: %w", err)
 			}
 			if optErr == nil {
-				wantOpt, wantNodes, err := (multiproc.Exhaustive{MaxAssignments: 600_000}).SolveStats(ident)
+				wantOpt, wantNodes, err := multiproc.RefExhaustive(multiproc.Exhaustive{MaxAssignments: 600_000}, ident)
 				if err != nil {
-					return fmt.Errorf("OPT (degenerate): %w", err)
+					return fmt.Errorf("OPT reference (degenerate): %w", err)
 				}
 				if err := oracle.EqualPartitionSolutions(fuzzPartitionOf(opt), fuzzPartitionOf(wantOpt)); err != nil {
-					return fmt.Errorf("degeneracy HETERO-OPT vs OPT: %w", err)
+					return fmt.Errorf("degeneracy HETERO-OPT vs OPT reference: %w", err)
 				}
 				if optNodes != wantNodes {
-					return fmt.Errorf("degeneracy node count %d, identical-processor search %d", optNodes, wantNodes)
+					return fmt.Errorf("degeneracy node count %d, reference search %d", optNodes, wantNodes)
 				}
 			}
 		}

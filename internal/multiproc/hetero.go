@@ -1,20 +1,11 @@
-// Heterogeneous partitioned rejection: M processors with *distinct*
-// speed/power descriptions (the two-type big.LITTLE setting of the
-// Thammawichai & Kerrigan line, generalized to arbitrary profile
-// vectors). A solution still assigns every task to one processor or
-// rejects it; each processor runs its accepted workload at its own
-// minimum-energy speed, and the objective remains total energy plus
-// total rejection penalty.
-//
-// Every solver here degenerates bit-exactly to its identical-processor
-// counterpart when all profiles are equal: the constructive pass visits
-// candidate processors in (load, index) order — which reduces to the
-// seed's least-loaded rule — the local-search move loops keep the same
-// float expression order with per-processor curves, and the exhaustive
-// search restricts its empty-processor symmetry reduction to
-// same-profile groups, which collapses to the seed's single "first
-// empty" rule. The differential corpus pins all three reductions,
-// including branch-and-bound node counts.
+// The heterogeneous solvers: M processors with distinct speed/power
+// profiles. Each one reduces, on an all-equal profile vector, to the
+// identical-processor rule it generalizes — the constructive pass's
+// least-loaded processor that fits is the least-loaded processor, and the
+// exhaustive search's per-profile symmetry reduction is the single "first
+// empty processor" rule — so the identical-processor API in multiproc.go
+// runs these solvers on AsHetero(in).
+
 package multiproc
 
 import (
@@ -22,7 +13,9 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 
+	"dvsreject/internal/conc"
 	"dvsreject/internal/core"
 	"dvsreject/internal/speed"
 	"dvsreject/internal/task"
@@ -62,8 +55,7 @@ func (in HeteroInstance) Validate() error {
 }
 
 // AsHetero lifts an identical-processor instance into the heterogeneous
-// form: M copies of the same profile. Solvers on the lifted instance
-// reproduce the identical-processor solvers bit for bit.
+// form: M copies of the same profile.
 func AsHetero(in Instance) HeteroInstance {
 	procs := make([]speed.Proc, in.M)
 	for m := range procs {
@@ -81,33 +73,30 @@ func procsEqual(a, b speed.Proc) bool {
 		slices.Equal(a.Levels, b.Levels)
 }
 
-// heteroCtx is the per-solve evaluation context: one energy curve and one
-// capacity threshold per processor, mirroring mpCtx per profile so that
-// on an all-equal vector every probe returns the identical bits.
-// Immutable after construction.
+// heteroCtx is the per-solve evaluation context: the validated instance,
+// one energy curve per processor (a speed.Curve, so an E(w) probe on a
+// continuous-speed processor is one math.Pow instead of a full
+// speed.Proc.Assign, with the same bits) and the groups of bit-equal
+// profiles. Immutable after construction; safe for concurrent use by
+// parallel search workers.
 type heteroCtx struct {
-	in       HeteroInstance
-	capSlack []float64 // per-processor capacity·(1+1e-9)
-	curves   []speed.Curve
+	in     HeteroInstance
+	curves []speed.Curve
 	// typeOf[m] is the index of the first processor bit-equal to m — the
 	// symmetry group key (typeOf[m] == m for group leaders).
 	typeOf []int
-	types  int // number of distinct groups
 }
 
 func newHeteroCtx(in HeteroInstance) (*heteroCtx, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	m := in.M()
 	c := &heteroCtx{
-		in:       in,
-		capSlack: make([]float64, m),
-		curves:   make([]speed.Curve, m),
-		typeOf:   make([]int, m),
+		in:     in,
+		curves: make([]speed.Curve, in.M()),
+		typeOf: make([]int, in.M()),
 	}
 	for i, p := range in.Procs {
-		c.capSlack[i] = p.Capacity(in.Tasks.Deadline) * (1 + 1e-9)
 		c.curves[i] = speed.NewCurve(p, in.Tasks.Deadline)
 		c.typeOf[i] = i
 		for j := 0; j < i; j++ {
@@ -115,9 +104,6 @@ func newHeteroCtx(in HeteroInstance) (*heteroCtx, error) {
 				c.typeOf[i] = c.typeOf[j]
 				break
 			}
-		}
-		if c.typeOf[i] == i {
-			c.types++
 		}
 	}
 	return c, nil
@@ -128,8 +114,23 @@ func newHeteroCtx(in HeteroInstance) (*heteroCtx, error) {
 func (c *heteroCtx) energyAt(m int, w int64) float64 { return c.curves[m].Energy(float64(w)) }
 
 // overloads reports whether w cycles exceed processor m's capacity, with
-// the same float slack the identical-processor context applies.
-func (c *heteroCtx) overloads(m int, w int64) bool { return float64(w) > c.capSlack[m] }
+// the float slack speed.Proc.Assign applies.
+func (c *heteroCtx) overloads(m int, w int64) bool { return !c.curves[m].Fits(float64(w)) }
+
+// redundant reports whether placing a task on processor m only permutes
+// another branch of the exhaustive search: m is empty and so is an
+// earlier processor of the same profile.
+func (c *heteroCtx) redundant(loads []int64, m int) bool {
+	if loads[m] != 0 {
+		return false
+	}
+	for j := 0; j < m; j++ {
+		if loads[j] == 0 && c.typeOf[j] == c.typeOf[m] {
+			return true
+		}
+	}
+	return false
+}
 
 // assignment converts a position vector into the public Assignment map.
 func (c *heteroCtx) assignment(pos []int) Assignment {
@@ -151,6 +152,11 @@ func EvaluateHetero(in HeteroInstance, assign Assignment) (Solution, error) {
 	if err := in.Validate(); err != nil {
 		return Solution{}, err
 	}
+	return evaluate(in, assign)
+}
+
+// evaluate is EvaluateHetero on an already validated instance.
+func evaluate(in HeteroInstance, assign Assignment) (Solution, error) {
 	mCount := in.M()
 	sol := Solution{
 		PerProc:  make([][]int, mCount),
@@ -218,14 +224,28 @@ func HeteroSolverNames() []string {
 	return []string{"HETERO-PART", "HETERO-LTF", "HETERO-LS", "HETERO-OPT"}
 }
 
+// densityOrder returns the task positions in non-increasing penalty
+// density vi/ci, ties in input order: the visit order of the constructive
+// pass and of HETERO-PART's ownership seeds.
+func densityOrder(tasks []task.Task) []int {
+	ord := make([]int, len(tasks))
+	for i := range ord {
+		ord[i] = i
+	}
+	sort.SliceStable(ord, func(a, b int) bool {
+		return tasks[ord[a]].Penalty*float64(tasks[ord[b]].Cycles) >
+			tasks[ord[b]].Penalty*float64(tasks[ord[a]].Cycles)
+	})
+	return ord
+}
+
 // HeteroLTFReject is the constructive heuristic generalized to distinct
-// profiles: tasks in non-increasing penalty density, candidate processors
-// in (load ascending, index ascending) order, accept on the first
-// candidate that fits iff its marginal energy there is below the task's
-// penalty. On an all-equal profile vector the first candidate is exactly
-// the seed's least-loaded processor (and if it cannot fit the task,
-// neither can any other equal-capacity processor), so the decisions are
-// bit-identical to LTFReject.
+// profiles: tasks in non-increasing penalty density, each considered on
+// the least-loaded processor that fits it (ties to the lower index) and
+// accepted iff its marginal energy there is below its penalty. On an
+// all-equal profile vector that processor is the least-loaded one (if it
+// cannot fit the task, neither can any other equal-capacity processor),
+// so HeteroLTFReject on AsHetero(in) is LTFReject.
 type HeteroLTFReject struct{}
 
 // Name implements HeteroSolver.
@@ -237,65 +257,45 @@ func (HeteroLTFReject) Solve(in HeteroInstance) (Solution, error) {
 	if err != nil {
 		return Solution{}, err
 	}
-	pos, _ := c.heteroLTFReject()
-	return EvaluateHetero(in, c.assignment(pos))
+	pos, _ := c.ltfReject()
+	return evaluate(in, c.assignment(pos))
 }
 
-// heteroLTFReject runs the constructive pass, returning pos[i] = processor
-// of task i (-1 when rejected) and the per-processor loads — the warm
-// start of the local search, as in the identical-processor path.
-func (c *heteroCtx) heteroLTFReject() (pos []int, loads []int64) {
+// ltfReject runs the constructive pass, returning pos[i] = processor of
+// task i (-1 when rejected) and the per-processor loads — the warm start
+// of the local search, which then needs neither an evaluated Solution nor
+// an Assignment's map lookups in its move loops.
+func (c *heteroCtx) ltfReject() (pos []int, loads []int64) {
 	tasks := c.in.Tasks.Tasks
-	mCount := c.in.M()
-	ord := make([]int, len(tasks))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		return tasks[ord[a]].Penalty*float64(tasks[ord[b]].Cycles) >
-			tasks[ord[b]].Penalty*float64(tasks[ord[a]].Cycles)
-	})
-	loads = make([]int64, mCount)
+	loads = make([]int64, c.in.M())
 	pos = make([]int, len(tasks))
 	for i := range pos {
 		pos[i] = -1
 	}
-	cand := make([]int, mCount)
-	for _, ti := range ord {
+	for _, ti := range densityOrder(tasks) {
 		t := tasks[ti]
-		// Candidate processors in (load, index) order; sort.Slice on the
-		// integer loads with an index tie-break is fully deterministic.
-		for i := range cand {
-			cand[i] = i
+		m := -1
+		for i, w := range loads {
+			if (m < 0 || w < loads[m]) && !c.overloads(i, w+t.Cycles) {
+				m = i
+			}
 		}
-		sort.Slice(cand, func(a, b int) bool {
-			if loads[cand[a]] != loads[cand[b]] {
-				return loads[cand[a]] < loads[cand[b]]
-			}
-			return cand[a] < cand[b]
-		})
-		for _, m := range cand {
-			if c.overloads(m, loads[m]+t.Cycles) {
-				continue
-			}
-			marginal := c.energyAt(m, loads[m]+t.Cycles) - c.energyAt(m, loads[m])
-			if marginal < t.Penalty {
-				pos[ti] = m
-				loads[m] += t.Cycles
-			}
-			break // decide on the first fitting candidate only
+		if m < 0 {
+			continue
+		}
+		marginal := c.energyAt(m, loads[m]+t.Cycles) - c.energyAt(m, loads[m])
+		if marginal < t.Penalty {
+			pos[ti] = m
+			loads[m] += t.Cycles
 		}
 	}
 	return pos, loads
 }
 
-// HeteroLTFRejectLS refines HeteroLTFReject with the same steepest-descent
-// neighbourhood as LTFRejectLS — reject, admit, migrate, swap-in-out and
-// cross-processor exchange — with every energy probe going through the
-// touched processor's own curve. The gain expressions keep the
-// identical-processor code's float operation order, so on an all-equal
-// vector the move sequence and final solution are bit-identical to
-// LTFRejectLS.
+// HeteroLTFRejectLS refines HeteroLTFReject with steepest-descent local
+// search over five move kinds — reject, admit, migrate, swap-in-out and
+// cross-processor exchange (see LTFRejectLS) — with every energy probe
+// going through the touched processor's own curve.
 type HeteroLTFRejectLS struct {
 	// MaxIterations bounds the move count; 0 means 10·n.
 	MaxIterations int
@@ -312,18 +312,37 @@ func (g HeteroLTFRejectLS) Solve(in HeteroInstance) (Solution, error) {
 	if err != nil {
 		return Solution{}, err
 	}
-	pos, loads := c.heteroLTFReject()
+	return evaluate(in, c.assignment(g.search(c)))
+}
+
+// search runs the constructive pass and refines it, returning the final
+// position vector (pos[i] = processor of task i, -1 when rejected). Move
+// evaluation is incremental: the energy of every processor at its current
+// load is cached across the whole sweep (loads only change when a move is
+// applied), so probing a move costs only the energies of the one or two
+// touched processors at their changed loads, instead of re-pricing
+// untouched processors. The gain expressions keep the seed code's float
+// operation order, so the selected move sequence and the final solution
+// are bit-identical to it.
+func (g HeteroLTFRejectLS) search(c *heteroCtx) []int {
+	pos, loads := c.ltfReject()
+	tasks := c.in.Tasks.Tasks
+	mCount := c.in.M()
 	limit := g.MaxIterations
 	if limit == 0 {
-		limit = 10 * len(in.Tasks.Tasks)
+		limit = 10 * len(tasks)
 	}
-	tasks := in.Tasks.Tasks
-	mCount := in.M()
 
+	// procE[m] = energyAt(m, loads[m]), refreshed after each applied move.
 	procE := make([]float64, mCount)
 	for m := range procE {
 		procE[m] = c.energyAt(m, loads[m])
 	}
+	// addE[ti·M+m] memoizes energyAt(m, loads[m]+cycles(ti)), the "task ti
+	// lands on processor m" probe shared by the migrate, admit and
+	// cross-processor swap moves. Loads are constant within one sweep, so
+	// entries are filled lazily on first use (NaN marks an empty slot —
+	// the curve never returns NaN) and reset once per iteration.
 	addE := make([]float64, len(tasks)*mCount)
 	probeAdd := func(ti, m int) float64 {
 		e := addE[ti*mCount+m]
@@ -386,7 +405,9 @@ func (g HeteroLTFRejectLS) Solve(in HeteroInstance) (Solution, error) {
 			}
 		}
 
-		// Swap an accepted task out for a rejected one.
+		// Swap an accepted task out for a rejected one (possibly on a
+		// different processor) — the compound admission repair no pair of
+		// single moves reaches when both halves are individually losing.
 		if !g.DisableExchange {
 			for oi := range tasks {
 				mo := pos[oi]
@@ -395,6 +416,8 @@ func (g HeteroLTFRejectLS) Solve(in HeteroInstance) (Solution, error) {
 				}
 				out := tasks[oi]
 				oi := oi
+				// Both terms of the out-processor's energy delta are
+				// invariant across the inner loops.
 				outDelta := procE[mo] - c.energyAt(mo, loads[mo]-out.Cycles)
 				for ii := range tasks {
 					if pos[ii] >= 0 {
@@ -474,14 +497,13 @@ func (g HeteroLTFRejectLS) Solve(in HeteroInstance) (Solution, error) {
 			procE[m] = c.energyAt(m, loads[m])
 		}
 	}
-	return EvaluateHetero(in, c.assignment(pos))
+	return pos
 }
 
 // HeteroExhaustive enumerates all (M+1)ⁿ assignments with the symmetry
-// reduction restricted to same-profile groups — only the first *empty
-// processor of each distinct profile* is tried, which on an all-equal
-// vector collapses to the seed's single "first empty" rule, making the
-// search (and its node count) identical to Exhaustive. Exact for tiny
+// reduction restricted to same-profile groups — only the first empty
+// processor of each distinct profile is tried, which on an all-equal
+// vector is the single "first empty" rule of Exhaustive. Exact for tiny
 // instances; serial, so SolveStats node counts are deterministic.
 type HeteroExhaustive struct {
 	// MaxAssignments guards the search space; 0 means 5 million.
@@ -497,105 +519,183 @@ func (e HeteroExhaustive) Solve(in HeteroInstance) (Solution, error) {
 	return sol, err
 }
 
-// SolveStats is Solve plus the number of branch-and-bound nodes entered —
-// the instrumentation the differential corpus compares against the
-// identical-processor search on degenerate vectors.
+// SolveStats is Solve plus the number of branch-and-bound nodes entered.
 func (e HeteroExhaustive) SolveStats(in HeteroInstance) (Solution, int64, error) {
+	return exhaustive(in, e.MaxAssignments, 1)
+}
+
+// exhaustive is the branch-and-bound search behind HeteroExhaustive and
+// Exhaustive. maxAssignments guards the (M+1)ⁿ search space (0 means 5
+// million). With workers > 1 the first splitDepth placement decisions
+// enumerate prefix subtrees in serial DFS visit order (same child order,
+// symmetry reduction and capacity filter as dfs, no bound pruning),
+// workers explore them concurrently sharing an atomic incumbent cost, and
+// the per-subtree winners are folded back in DFS order under the serial
+// improvement rule — so the returned solution matches the serial search.
+// The node count is the serial search's; a parallel search reports 0.
+func exhaustive(in HeteroInstance, maxAssignments int64, workers int) (Solution, int64, error) {
 	c, err := newHeteroCtx(in)
 	if err != nil {
 		return Solution{}, 0, err
 	}
-	n := len(in.Tasks.Tasks)
-	limit := e.MaxAssignments
-	if limit == 0 {
-		limit = 5_000_000
+	tasks := in.Tasks.Tasks
+	n, mCount := len(tasks), in.M()
+	if maxAssignments == 0 {
+		maxAssignments = 5_000_000
 	}
 	total := int64(1)
 	for i := 0; i < n; i++ {
-		total *= int64(in.M() + 1)
-		if total > limit {
-			return Solution{}, 0, fmt.Errorf("multiproc: exhaustive search needs %d+ assignments, over the limit %d", total, limit)
+		total *= int64(mCount + 1)
+		if total > maxAssignments {
+			return Solution{}, 0, fmt.Errorf("multiproc: exhaustive search needs %d+ assignments, over the limit %d", total, maxAssignments)
 		}
 	}
-	s := &heteroSearcher{
-		c:        c,
-		n:        n,
-		loads:    make([]int64, in.M()),
-		choice:   make([]int, n),
-		bestCost: math.Inf(1),
+
+	// Split deep enough to keep every worker busy (≥4 subtrees each), but
+	// never to the leaves; each level multiplies the prefix count by up to
+	// M+1 (M placements + reject), so a shallow split suffices.
+	splitDepth := 0
+	for count := 1; workers > 1 && splitDepth < n-1 && splitDepth < 8 && count < 4*workers; count *= mCount + 1 {
+		splitDepth++
 	}
-	s.dfs(0, 0)
-	if s.best == nil && !math.IsInf(s.bestCost, 1) {
-		s.best = Assignment{} // everything rejected
+	s := newHeteroSearcher(c)
+	if splitDepth == 0 {
+		s.dfs(0, 0)
+		return s.finish()
 	}
-	if math.IsInf(s.bestCost, 1) {
-		return Solution{}, s.nodes, fmt.Errorf("multiproc: exhaustive search found no solution")
+
+	type prefix struct {
+		loads   []int64
+		choice  []int
+		penalty float64
 	}
-	sol, err := EvaluateHetero(in, s.best)
-	return sol, s.nodes, err
+	var prefixes []prefix
+	loads := make([]int64, mCount)
+	choice := make([]int, splitDepth)
+	var enumerate func(i int, penalty float64)
+	enumerate = func(i int, penalty float64) {
+		if i == splitDepth {
+			prefixes = append(prefixes, prefix{slices.Clone(loads), slices.Clone(choice), penalty})
+			return
+		}
+		t := tasks[i]
+		for m := range loads {
+			if c.redundant(loads, m) || c.overloads(m, loads[m]+t.Cycles) {
+				continue
+			}
+			loads[m] += t.Cycles
+			choice[i] = m
+			enumerate(i+1, penalty)
+			loads[m] -= t.Cycles
+		}
+		choice[i] = -1
+		enumerate(i+1, penalty+t.Penalty)
+	}
+	enumerate(0, 0)
+
+	// The shared incumbent: the best cost any worker has proven so far,
+	// maintained with a CAS-min over its float bits.
+	var shared atomic.Uint64
+	shared.Store(math.Float64bits(math.Inf(1)))
+	winners, err := conc.ForEach(len(prefixes), workers, func(k int) (*heteroSearcher, error) {
+		w := newHeteroSearcher(c)
+		w.shared = &shared
+		copy(w.loads, prefixes[k].loads)
+		copy(w.choice, prefixes[k].choice)
+		w.dfs(splitDepth, prefixes[k].penalty)
+		return w, nil
+	})
+	if err != nil {
+		return Solution{}, 0, err
+	}
+	for _, w := range winners {
+		if w.best != nil && w.bestCost < s.bestCost-1e-12 {
+			s.bestCost, s.best = w.bestCost, w.best
+		}
+	}
+	return s.finish()
 }
 
-// heteroSearcher is the branch-and-bound state of HeteroExhaustive.
+// heteroSearcher is one branch-and-bound search state: the serial search
+// uses a single one, the parallel search one per prefix subtree (plus the
+// shared incumbent they prune against).
 type heteroSearcher struct {
 	c      *heteroCtx
-	n      int
 	loads  []int64
 	choice []int // -1 reject, else processor
 
 	bestCost float64
-	best     Assignment
+	best     []int // choice at the incumbent leaf
 	nodes    int64
+
+	// shared, when non-nil (parallel mode), is the cross-worker incumbent
+	// cost as float bits; workers prune against it and publish their own
+	// improvements into it.
+	shared *atomic.Uint64
+}
+
+func newHeteroSearcher(c *heteroCtx) *heteroSearcher {
+	return &heteroSearcher{
+		c:        c,
+		loads:    make([]int64, c.in.M()),
+		choice:   make([]int, len(c.in.Tasks.Tasks)),
+		bestCost: math.Inf(1),
+	}
+}
+
+// pruned reports whether a node whose partial cost is pc (a lower bound on
+// every leaf below it) cannot improve the result. The local incumbent uses
+// the serial rule (pc within 1e-12 of it never strictly improves). The
+// shared cross-worker incumbent is applied with the margin reversed —
+// prune only when pc exceeds it by more than 1e-12 — so a subtree whose
+// best leaf exactly ties another worker's published cost still finds that
+// leaf: subtree winners are then independent of publish timing, and the
+// DFS-ordered fold resolves exact ties the way the serial search does.
+func (s *heteroSearcher) pruned(pc float64) bool {
+	if pc >= s.bestCost-1e-12 {
+		return true
+	}
+	return s.shared != nil && pc >= math.Float64frombits(s.shared.Load())+1e-12
+}
+
+// publish records an improved incumbent, CAS-minning it into the shared
+// bound in parallel mode.
+func (s *heteroSearcher) publish(cost float64) {
+	if s.shared == nil {
+		return
+	}
+	for {
+		old := s.shared.Load()
+		if math.Float64frombits(old) <= cost {
+			return
+		}
+		if s.shared.CompareAndSwap(old, math.Float64bits(cost)) {
+			return
+		}
+	}
 }
 
 // dfs explores placements for tasks[i:], with penalty the accumulated
-// rejection penalty of the prefix. Pruning arithmetic (current energy +
-// penalty against the incumbent with the 1e-12 margin) matches
-// mpSearcher exactly.
+// rejection penalty of the prefix.
 func (s *heteroSearcher) dfs(i int, penalty float64) {
 	s.nodes++
+	// Bound: current energy + current penalty (both only grow).
 	var energy float64
 	for m, w := range s.loads {
 		energy += s.c.energyAt(m, w)
 	}
-	if energy+penalty >= s.bestCost-1e-12 {
+	if s.pruned(energy + penalty) {
 		return
 	}
-	if i == s.n {
+	if i == len(s.choice) {
 		s.bestCost = energy + penalty
-		s.best = Assignment{}
-		for j, ch := range s.choice {
-			if ch >= 0 {
-				s.best[s.c.in.Tasks.Tasks[j].ID] = ch
-			}
-		}
+		s.best = slices.Clone(s.choice)
+		s.publish(s.bestCost)
 		return
 	}
 	t := s.c.in.Tasks.Tasks[i]
-	// Symmetry reduction per profile group: among empty processors of one
-	// group only the first is tried (placements on the others are
-	// permutations of it).
-	mCount := s.c.in.M()
-	var triedEmpty [64]bool // indexed by group leader; M ≤ 64 in practice
-	var triedEmptyBig map[int]bool
-	if mCount > len(triedEmpty) {
-		triedEmptyBig = make(map[int]bool, s.c.types)
-	}
-	for m := 0; m < mCount; m++ {
-		if s.loads[m] == 0 {
-			g := s.c.typeOf[m]
-			if triedEmptyBig != nil {
-				if triedEmptyBig[g] {
-					continue
-				}
-				triedEmptyBig[g] = true
-			} else {
-				if triedEmpty[g] {
-					continue
-				}
-				triedEmpty[g] = true
-			}
-		}
-		if s.c.overloads(m, s.loads[m]+t.Cycles) {
+	for m := range s.loads {
+		if s.c.redundant(s.loads, m) || s.c.overloads(m, s.loads[m]+t.Cycles) {
 			continue
 		}
 		s.loads[m] += t.Cycles
@@ -605,6 +705,15 @@ func (s *heteroSearcher) dfs(i int, penalty float64) {
 	}
 	s.choice[i] = -1
 	s.dfs(i+1, penalty+t.Penalty)
+}
+
+// finish evaluates the incumbent.
+func (s *heteroSearcher) finish() (Solution, int64, error) {
+	if s.best == nil {
+		return Solution{}, s.nodes, fmt.Errorf("multiproc: exhaustive search found no solution")
+	}
+	sol, err := evaluate(s.c.in, s.c.assignment(s.best))
+	return sol, s.nodes, err
 }
 
 // HeteroPartition is the partition-then-reject solver: every task gets a
@@ -818,75 +927,58 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 		return owned, total, nil
 	}
 
-	// Seed A: tasks in non-increasing penalty density, each owned by the
-	// processor with the smallest projected normalized load (load+c)/cap —
-	// the big.LITTLE generalization of least-loaded. Ownership never
-	// rejects; the DP does, so overflow here is fine.
-	ord := make([]int, len(tasks))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		return tasks[ord[a]].Penalty*float64(tasks[ord[b]].Cycles) >
-			tasks[ord[b]].Penalty*float64(tasks[ord[a]].Cycles)
-	})
+	// Every seed hands its unowned tasks (owner −1), in non-increasing
+	// penalty density, to the processor with the smallest projected
+	// normalized load (load+c)/cap — the big.LITTLE generalization of
+	// least-loaded. Ownership never rejects; the DP does, so overflow here
+	// is fine.
+	ord := densityOrder(tasks)
 	caps := make([]float64, mCount)
 	for m, p := range in.Procs {
 		caps[m] = math.Max(p.Capacity(in.Tasks.Deadline), 1)
 	}
-	normalizedOwner := func(owner []int, loads []int64, ti int) int {
-		t := tasks[ti]
-		best, bestScore := 0, math.Inf(1)
-		for m := 0; m < mCount; m++ {
-			score := float64(loads[m]+t.Cycles) / caps[m]
-			if score < bestScore {
-				best, bestScore = m, score
+	unowned := func() []int {
+		owner := make([]int, n)
+		for i := range owner {
+			owner[i] = -1
+		}
+		return owner
+	}
+	complete := func(owner []int) []int {
+		loads := make([]int64, mCount)
+		for ti, m := range owner {
+			if m >= 0 {
+				loads[m] += tasks[ti].Cycles
 			}
 		}
-		owner[ti] = best
-		loads[best] += t.Cycles
-		return best
+		for _, ti := range ord {
+			if owner[ti] >= 0 {
+				continue
+			}
+			t := tasks[ti]
+			best, bestScore := 0, math.Inf(1)
+			for m := 0; m < mCount; m++ {
+				if score := float64(loads[m]+t.Cycles) / caps[m]; score < bestScore {
+					best, bestScore = m, score
+				}
+			}
+			owner[ti] = best
+			loads[best] += t.Cycles
+		}
+		return owner
 	}
-	ownerA := make([]int, len(tasks))
-	loadsA := make([]int64, mCount)
-	for _, ti := range ord {
-		normalizedOwner(ownerA, loadsA, ti)
-	}
-	ownedA, costA, err := refine(ownerA)
+
+	// Seed A: every task placed by the normalized-load rule.
+	ownedA, costA, err := refine(complete(unowned()))
 	if err != nil {
 		return Solution{}, err
 	}
 
-	// Seed B: ownership from the local-search solution — accepted tasks
-	// keep their processor, rejected ones fall back to the normalized-load
-	// rule in density order. The per-processor DP can always reproduce the
+	// Seed B: ownership from the local search's positions — accepted
+	// tasks keep their processor, rejected ones fall back to the
+	// normalized-load rule. The per-processor DP can always reproduce the
 	// LS accept set, so the refined cost never exceeds HETERO-LS.
-	byID := make(map[int]int, len(tasks))
-	for i, t := range tasks {
-		byID[t.ID] = i
-	}
-	lsSol, err := (HeteroLTFRejectLS{}).Solve(in)
-	if err != nil {
-		return Solution{}, err
-	}
-	ownerB := make([]int, len(tasks))
-	for i := range ownerB {
-		ownerB[i] = -1
-	}
-	loadsB := make([]int64, mCount)
-	for m, ids := range lsSol.PerProc {
-		for _, id := range ids {
-			ti := byID[id]
-			ownerB[ti] = m
-			loadsB[m] += tasks[ti].Cycles
-		}
-	}
-	for _, ti := range ord {
-		if ownerB[ti] < 0 {
-			normalizedOwner(ownerB, loadsB, ti)
-		}
-	}
-	ownedB, costB, err := refine(ownerB)
+	ownedB, costB, err := refine(complete(HeteroLTFRejectLS{}.search(c)))
 	if err != nil {
 		return Solution{}, err
 	}
@@ -906,12 +998,8 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 		}
 		return procOrd[a] < procOrd[b]
 	})
-	ownerC := make([]int, len(tasks))
-	for i := range ownerC {
-		ownerC[i] = -1
-	}
-	remaining := make([]int, len(tasks))
-	copy(remaining, ord)
+	ownerC := unowned()
+	remaining := slices.Clone(ord)
 	for _, m := range procOrd {
 		if len(remaining) == 0 {
 			break
@@ -934,18 +1022,7 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 		}
 		remaining = next
 	}
-	loadsC := make([]int64, mCount)
-	for ti, m := range ownerC {
-		if m >= 0 {
-			loadsC[m] += tasks[ti].Cycles
-		}
-	}
-	for _, ti := range ord {
-		if ownerC[ti] < 0 {
-			normalizedOwner(ownerC, loadsC, ti)
-		}
-	}
-	ownedC, costC, err := refine(ownerC)
+	ownedC, costC, err := refine(complete(ownerC))
 	if err != nil {
 		return Solution{}, err
 	}
@@ -974,7 +1051,7 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 			assign[id] = m
 		}
 	}
-	return EvaluateHetero(in, assign)
+	return evaluate(in, assign)
 }
 
 // DefaultHeteroLowerBoundStates mirrors core.DefaultLowerBoundStates for

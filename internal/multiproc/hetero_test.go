@@ -1,12 +1,11 @@
 package multiproc
 
-// Heterogeneous differential corpus: (a) degeneracy — every hetero solver
-// on an all-equal profile vector must reproduce its identical-processor
-// counterpart bit for bit (the exhaustive search additionally by explored
-// node count); (b) small-grid optimality — HeteroPartition against the
-// HeteroExhaustive reference on two-type vectors; (c) the certified
-// HeteroLowerBound never exceeds the exhaustive optimum and is exact at
-// M = 1 on unscaled grids.
+// Heterogeneous corpus: (a) small-grid optimality — HeteroPartition
+// against the HeteroExhaustive reference on two-type vectors; (b) the
+// certified HeteroLowerBound never exceeds the exhaustive optimum and is
+// exact at M = 1 on unscaled grids. On an all-equal vector the hetero
+// solvers are the identical-processor ones (multiproc.go runs them on
+// AsHetero), so differential_test.go's seed copies pin that case.
 
 import (
 	"math/rand"
@@ -27,57 +26,6 @@ func mustEqualHetero(t *testing.T, in HeteroInstance, label string, got, want So
 	}
 	if err := oracle.CheckHeteroPartition(in.Tasks, in.Procs, partitionOf(got)); err != nil {
 		t.Errorf("%s: %v", label, err)
-	}
-}
-
-func TestHeteroDegeneracyLTFReject(t *testing.T) {
-	for i, in := range diffCorpus(t) {
-		want, err := (LTFReject{}).Solve(in)
-		if err != nil {
-			t.Fatalf("instance %d: identical solver: %v", i, err)
-		}
-		got, err := (HeteroLTFReject{}).Solve(AsHetero(in))
-		if err != nil {
-			t.Fatalf("instance %d: %v", i, err)
-		}
-		mustEqualHetero(t, AsHetero(in), fmtLabel("HeteroLTFReject", i), got, want)
-	}
-}
-
-func TestHeteroDegeneracyLTFRejectLS(t *testing.T) {
-	for i, in := range diffCorpus(t) {
-		for _, g := range []LTFRejectLS{{}, {DisableExchange: true}, {MaxIterations: 3}} {
-			want, err := g.Solve(in)
-			if err != nil {
-				t.Fatalf("instance %d: identical solver: %v", i, err)
-			}
-			h := HeteroLTFRejectLS{MaxIterations: g.MaxIterations, DisableExchange: g.DisableExchange}
-			got, err := h.Solve(AsHetero(in))
-			if err != nil {
-				t.Fatalf("instance %d: %v", i, err)
-			}
-			mustEqualHetero(t, AsHetero(in), fmtLabel("HeteroLTFRejectLS", i), got, want)
-		}
-	}
-}
-
-func TestHeteroDegeneracyExhaustive(t *testing.T) {
-	for i, in := range diffCorpus(t) {
-		if len(in.Tasks.Tasks) > 9 && in.M > 2 {
-			in.Tasks.Tasks = in.Tasks.Tasks[:9] // keep the search tractable
-		}
-		want, wantNodes, err := (Exhaustive{}).SolveStats(in)
-		if err != nil {
-			t.Fatalf("instance %d: identical solver: %v", i, err)
-		}
-		got, gotNodes, err := (HeteroExhaustive{}).SolveStats(AsHetero(in))
-		if err != nil {
-			t.Fatalf("instance %d: %v", i, err)
-		}
-		mustEqualHetero(t, AsHetero(in), fmtLabel("HeteroExhaustive", i), got, want)
-		if gotNodes != wantNodes {
-			t.Errorf("instance %d: explored %d nodes, identical-processor search explored %d", i, gotNodes, wantNodes)
-		}
 	}
 }
 

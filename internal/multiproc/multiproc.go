@@ -1,25 +1,29 @@
-// Package multiproc extends task rejection to M identical DVS processors
-// under partitioned EDF — the composition of the target paper with the
+// Package multiproc extends task rejection to M DVS processors under
+// partitioned EDF — the composition of the target paper with the
 // research group's multiprocessor LTF partitioning line, and the natural
 // "future work" direction the overview paper sketches.
 //
 // A solution now assigns every task to one of the M processors or rejects
-// it; each processor independently runs its accepted workload at the
+// it; each processor independently runs its accepted workload at its own
 // minimum-energy speed (internal/speed), and the objective remains total
 // energy plus total rejection penalty. The single-processor hardness
 // trivially carries over (M = 1), and partitioning adds bin-packing
 // structure on top.
+//
+// The solvers (hetero.go) take a HeteroInstance: M processors with
+// per-processor speed/power profiles, the two-type big.LITTLE setting of
+// the Thammawichai & Kerrigan line generalized to arbitrary profile
+// vectors. M identical processors are the one-profile case, so the
+// identical-processor API in this file validates an Instance and then
+// runs the hetero solver on AsHetero(in): LTF-REJECT is HETERO-LTF,
+// LTF-REJECT-LS is HETERO-LS and OPT is HETERO-OPT on M copies of one
+// profile.
 package multiproc
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"slices"
-	"sort"
-	"sync/atomic"
 
-	"dvsreject/internal/conc"
 	"dvsreject/internal/speed"
 	"dvsreject/internal/task"
 )
@@ -56,39 +60,6 @@ func (in Instance) capacity() float64 {
 	return in.Proc.Capacity(in.Tasks.Deadline)
 }
 
-// mpCtx is the per-solve evaluation context: the validated instance plus
-// the values every probe recomputed in the seed code — the capacity
-// acceptance threshold and the processor's energy curve (a speed.Curve, so
-// E(w) probes on continuous-speed processors are one math.Pow instead of a
-// full speed.Proc.Assign). Every method reproduces the corresponding
-// Instance computation bit for bit, so solver decisions, tie-breaks and
-// branch-and-bound node counts are unchanged. Immutable after
-// construction; safe for concurrent use by parallel search workers.
-type mpCtx struct {
-	in       Instance
-	capSlack float64 // capacity()·(1+1e-9), the acceptance threshold
-	curve    speed.Curve
-}
-
-func newMPCtx(in Instance) (*mpCtx, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	return &mpCtx{
-		in:       in,
-		capSlack: in.capacity() * (1 + 1e-9),
-		curve:    speed.NewCurve(in.Proc, in.Tasks.Deadline),
-	}, nil
-}
-
-// energyAt returns the per-processor frame energy at an integer workload,
-// identical to in.Proc.Energy(float64(w), in.Tasks.Deadline).
-func (c *mpCtx) energyAt(w int64) float64 { return c.curve.Energy(float64(w)) }
-
-// overloads reports whether a workload of w cycles exceeds one processor's
-// capacity, with the same float slack the seed code applied inline.
-func (c *mpCtx) overloads(w int64) bool { return float64(w) > c.capSlack }
-
 // Solution is a partitioned admission decision with its cost breakdown.
 type Solution struct {
 	// PerProc[m] lists the task IDs accepted on processor m, ascending.
@@ -110,43 +81,7 @@ func Evaluate(in Instance, assign Assignment) (Solution, error) {
 	if err := in.Validate(); err != nil {
 		return Solution{}, err
 	}
-	sol := Solution{
-		PerProc:  make([][]int, in.M),
-		Energies: make([]float64, in.M),
-	}
-	loads := make([]int64, in.M)
-	known := 0
-	for _, t := range in.Tasks.Tasks {
-		m, ok := assign[t.ID]
-		if ok {
-			known++
-		}
-		if !ok || m < 0 {
-			sol.Rejected = append(sol.Rejected, t.ID)
-			sol.Penalty += t.Penalty
-			continue
-		}
-		if m >= in.M {
-			return Solution{}, fmt.Errorf("multiproc: task %d assigned to processor %d of %d", t.ID, m, in.M)
-		}
-		sol.PerProc[m] = append(sol.PerProc[m], t.ID)
-		loads[m] += t.Cycles
-	}
-	if known != len(assign) {
-		return Solution{}, fmt.Errorf("multiproc: assignment references %d unknown task IDs", len(assign)-known)
-	}
-	for m := 0; m < in.M; m++ {
-		slices.Sort(sol.PerProc[m])
-		a, err := in.Proc.Assign(float64(loads[m]), in.Tasks.Deadline)
-		if err != nil {
-			return Solution{}, fmt.Errorf("multiproc: processor %d: %w", m, err)
-		}
-		sol.Energies[m] = a.Total
-		sol.Energy += a.Total
-	}
-	slices.Sort(sol.Rejected)
-	sol.Cost = sol.Energy + sol.Penalty
-	return sol, nil
+	return evaluate(AsHetero(in), assign)
 }
 
 // Solver is one multiprocessor admission/partitioning algorithm.
@@ -159,7 +94,7 @@ type Solver interface {
 // admission control: consider tasks in non-increasing penalty density
 // vi/ci, tentatively place each on the least-loaded processor, and accept
 // iff it fits there and its marginal energy on that processor is below its
-// penalty.
+// penalty. It is HeteroLTFReject on AsHetero(in).
 type LTFReject struct{}
 
 // Name implements Solver.
@@ -167,74 +102,19 @@ func (LTFReject) Name() string { return "LTF-REJECT" }
 
 // Solve implements Solver.
 func (LTFReject) Solve(in Instance) (Solution, error) {
-	c, err := newMPCtx(in)
-	if err != nil {
+	if err := in.Validate(); err != nil {
 		return Solution{}, err
 	}
-	pos, _ := c.ltfReject()
-	return Evaluate(in, c.assignment(pos))
-}
-
-// ltfReject runs the constructive pass. It returns pos[i] = processor of
-// task i (position in in.Tasks.Tasks, -1 when rejected) together with the
-// per-processor loads, so the local search can start from both without
-// re-deriving them from an evaluated Solution — and without the per-probe
-// map lookups an Assignment would cost in the move loops.
-func (c *mpCtx) ltfReject() (pos []int, loads []int64) {
-	tasks := c.in.Tasks.Tasks
-	// Sorting an index permutation with the same stable comparator yields
-	// the same visit order as sorting a cloned task slice.
-	ord := make([]int, len(tasks))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		return tasks[ord[a]].Penalty*float64(tasks[ord[b]].Cycles) >
-			tasks[ord[b]].Penalty*float64(tasks[ord[a]].Cycles)
-	})
-	loads = make([]int64, c.in.M)
-	pos = make([]int, len(tasks))
-	for i := range pos {
-		pos[i] = -1
-	}
-	for _, ti := range ord {
-		t := tasks[ti]
-		// Least-loaded processor.
-		m := 0
-		for i := 1; i < c.in.M; i++ {
-			if loads[i] < loads[m] {
-				m = i
-			}
-		}
-		w := loads[m]
-		if c.overloads(w + t.Cycles) {
-			continue
-		}
-		marginal := c.energyAt(w+t.Cycles) - c.energyAt(w)
-		if marginal < t.Penalty {
-			pos[ti] = m
-			loads[m] += t.Cycles
-		}
-	}
-	return pos, loads
-}
-
-// assignment converts a position vector into the public Assignment map.
-func (c *mpCtx) assignment(pos []int) Assignment {
-	assign := Assignment{}
-	for i, m := range pos {
-		if m >= 0 {
-			assign[c.in.Tasks.Tasks[i].ID] = m
-		}
-	}
-	return assign
+	return HeteroLTFReject{}.Solve(AsHetero(in))
 }
 
 // LTFRejectLS refines LTFReject with steepest-descent local search over
-// four move kinds: reject an accepted task, admit a rejected task onto its
-// best processor, migrate an accepted task to another processor, and
-// exchange two accepted tasks across processors (the move that repairs the
-// load balance convexity rewards but density-ordered placement misses).
+// five move kinds: reject an accepted task, admit a rejected task onto its
+// best processor, migrate an accepted task to another processor, swap an
+// accepted task out for a rejected one, and exchange two accepted tasks
+// across processors (the move that repairs the load balance convexity
+// rewards but density-ordered placement misses). It is HeteroLTFRejectLS
+// on AsHetero(in).
 type LTFRejectLS struct {
 	// MaxIterations bounds the move count; 0 means 10·n.
 	MaxIterations int
@@ -246,196 +126,18 @@ type LTFRejectLS struct {
 // Name implements Solver.
 func (LTFRejectLS) Name() string { return "LTF-REJECT-LS" }
 
-// Solve implements Solver. Move evaluation is incremental: the energy of
-// every processor at its current load is cached across the whole sweep
-// (loads only change when a move is applied), so probing a move costs only
-// the energies of the one or two touched processors at their changed
-// loads — O(1) closed-form probes on continuous-speed processors — instead
-// of re-pricing untouched processors. The gain expressions keep the seed
-// code's float operation order, so the selected move sequence and the
-// final solution are bit-identical.
+// Solve implements Solver.
 func (g LTFRejectLS) Solve(in Instance) (Solution, error) {
-	c, err := newMPCtx(in)
-	if err != nil {
+	if err := in.Validate(); err != nil {
 		return Solution{}, err
 	}
-	pos, loads := c.ltfReject()
-	limit := g.MaxIterations
-	if limit == 0 {
-		limit = 10 * len(in.Tasks.Tasks)
-	}
-	tasks := in.Tasks.Tasks
-
-	// procE[m] = energyAt(loads[m]), refreshed after each applied move.
-	procE := make([]float64, in.M)
-	for m := range procE {
-		procE[m] = c.energyAt(loads[m])
-	}
-	// addE[ti·M+m] memoizes energyAt(loads[m]+cycles(ti)), the "task ti
-	// lands on processor m" probe shared by the migrate, admit and
-	// cross-processor swap moves. Loads are constant within one sweep, so
-	// entries are filled lazily on first use (NaN marks an empty slot —
-	// the curve never returns NaN) and reset once per iteration.
-	addE := make([]float64, len(tasks)*in.M)
-	probeAdd := func(ti, m int) float64 {
-		e := addE[ti*in.M+m]
-		if e != e {
-			e = c.energyAt(loads[m] + tasks[ti].Cycles)
-			addE[ti*in.M+m] = e
-		}
-		return e
-	}
-
-	for iter := 0; iter < limit; iter++ {
-		for i := range addE {
-			addE[i] = math.NaN()
-		}
-		bestGain := 1e-9
-		var apply func()
-		for ti := range tasks {
-			t := tasks[ti]
-			ti := ti
-			cur := pos[ti]
-			if cur >= 0 {
-				// Reject.
-				removed := c.energyAt(loads[cur] - t.Cycles)
-				gain := procE[cur] - removed - t.Penalty
-				if gain > bestGain {
-					bestGain = gain
-					m := cur
-					apply = func() { pos[ti] = -1; loads[m] -= t.Cycles }
-				}
-				// Migrate.
-				for m := 0; m < in.M; m++ {
-					if m == cur || c.overloads(loads[m]+t.Cycles) {
-						continue
-					}
-					gain := procE[cur] + procE[m] -
-						removed - probeAdd(ti, m)
-					if gain > bestGain {
-						bestGain = gain
-						from, to := cur, m
-						apply = func() {
-							pos[ti] = to
-							loads[from] -= t.Cycles
-							loads[to] += t.Cycles
-						}
-					}
-				}
-			} else {
-				// Admit onto the best processor.
-				for m := 0; m < in.M; m++ {
-					if c.overloads(loads[m] + t.Cycles) {
-						continue
-					}
-					gain := t.Penalty - (probeAdd(ti, m) - procE[m])
-					if gain > bestGain {
-						bestGain = gain
-						to := m
-						apply = func() { pos[ti] = to; loads[to] += t.Cycles }
-					}
-				}
-			}
-		}
-
-		// Swap an accepted task out for a rejected one (possibly on a
-		// different processor) — the compound admission repair no pair of
-		// single moves reaches when both halves are individually losing.
-		if !g.DisableExchange {
-			for oi := range tasks {
-				mo := pos[oi]
-				if mo < 0 {
-					continue
-				}
-				out := tasks[oi]
-				oi := oi
-				// Both terms of the out-processor's energy delta are
-				// invariant across the inner loops.
-				outDelta := procE[mo] - c.energyAt(loads[mo]-out.Cycles)
-				for ii := range tasks {
-					if pos[ii] >= 0 {
-						continue
-					}
-					inc := tasks[ii]
-					ii := ii
-					for m := 0; m < in.M; m++ {
-						load := loads[m]
-						if m == mo {
-							load -= out.Cycles
-						}
-						if c.overloads(load + inc.Cycles) {
-							continue
-						}
-						gain := inc.Penalty - out.Penalty
-						if m == mo {
-							gain += procE[mo] - c.energyAt(load+inc.Cycles)
-						} else {
-							gain += outDelta
-							gain += procE[m] - probeAdd(ii, m)
-						}
-						if gain > bestGain {
-							bestGain = gain
-							mo, m := mo, m
-							apply = func() {
-								pos[oi] = -1
-								loads[mo] -= out.Cycles
-								pos[ii] = m
-								loads[m] += inc.Cycles
-							}
-						}
-					}
-				}
-			}
-		}
-
-		// Exchange two accepted tasks across processors.
-		if !g.DisableExchange {
-			for ai := range tasks {
-				ma := pos[ai]
-				if ma < 0 {
-					continue
-				}
-				a := tasks[ai]
-				ai := ai
-				for bi := range tasks {
-					mb := pos[bi]
-					b := tasks[bi]
-					if mb < 0 || a.ID >= b.ID || ma == mb {
-						continue
-					}
-					bi := bi
-					newA := loads[ma] - a.Cycles + b.Cycles
-					newB := loads[mb] - b.Cycles + a.Cycles
-					if c.overloads(newA) || c.overloads(newB) {
-						continue
-					}
-					gain := procE[ma] + procE[mb] - c.energyAt(newA) - c.energyAt(newB)
-					if gain > bestGain {
-						bestGain = gain
-						ma, mb, newA, newB := ma, mb, newA, newB
-						apply = func() {
-							pos[ai], pos[bi] = mb, ma
-							loads[ma], loads[mb] = newA, newB
-						}
-					}
-				}
-			}
-		}
-
-		if apply == nil {
-			break
-		}
-		apply()
-		for m := range procE {
-			procE[m] = c.energyAt(loads[m])
-		}
-	}
-	return Evaluate(in, c.assignment(pos))
+	return HeteroLTFRejectLS(g).Solve(AsHetero(in))
 }
 
 // Exhaustive enumerates all (M+1)ⁿ assignments with symmetry reduction on
 // identical processors; exact for tiny instances (the experiment suite's
-// optimum reference).
+// optimum reference). It is HeteroExhaustive on AsHetero(in), plus a
+// parallel search.
 type Exhaustive struct {
 	// MaxAssignments guards the search space; 0 means 5 million.
 	MaxAssignments int64
@@ -453,14 +155,14 @@ func (Exhaustive) Name() string { return "OPT" }
 
 // Solve implements Solver.
 func (e Exhaustive) Solve(in Instance) (Solution, error) {
+	if err := in.Validate(); err != nil {
+		return Solution{}, err
+	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > 1 {
-		return e.solveParallel(in, workers)
-	}
-	sol, _, err := e.SolveStats(in)
+	sol, _, err := exhaustive(AsHetero(in), e.MaxAssignments, workers)
 	return sol, err
 }
 
@@ -469,250 +171,8 @@ func (e Exhaustive) Solve(in Instance) (Solution, error) {
 // tests read. The search is always serial here, keeping the node counts
 // deterministic and comparable across runs.
 func (e Exhaustive) SolveStats(in Instance) (Solution, int64, error) {
-	c, n, err := e.prepare(in)
-	if err != nil {
+	if err := in.Validate(); err != nil {
 		return Solution{}, 0, err
 	}
-	s := newMPSearcher(c, n)
-	s.dfs(0, 0)
-	sol, err := s.finish(in)
-	return sol, s.nodes, err
-}
-
-// prepare validates the instance and checks the assignment-count guard —
-// the work shared by the serial and parallel drivers.
-func (e Exhaustive) prepare(in Instance) (*mpCtx, int, error) {
-	c, err := newMPCtx(in)
-	if err != nil {
-		return nil, 0, err
-	}
-	n := len(in.Tasks.Tasks)
-	limit := e.MaxAssignments
-	if limit == 0 {
-		limit = 5_000_000
-	}
-	total := int64(1)
-	for i := 0; i < n; i++ {
-		total *= int64(in.M + 1)
-		if total > limit {
-			return nil, 0, fmt.Errorf("multiproc: exhaustive search needs %d+ assignments, over the limit %d", total, limit)
-		}
-	}
-	return c, n, nil
-}
-
-// solveParallel fans the top of the search tree out to a worker pool: the
-// first splitDepth placement decisions enumerate prefix subtrees in serial
-// DFS visit order (same child order, symmetry reduction and capacity
-// filter as the serial search, no bound pruning), workers explore them
-// concurrently sharing an atomic incumbent cost, and the per-subtree
-// winners are folded back in DFS order under the serial improvement rule —
-// so the returned solution matches the serial search.
-func (e Exhaustive) solveParallel(in Instance, workers int) (Solution, error) {
-	c, n, err := e.prepare(in)
-	if err != nil {
-		return Solution{}, err
-	}
-
-	// Split deep enough to keep every worker busy (≥4 subtrees each), but
-	// never to the leaves; each level multiplies the prefix count by up to
-	// M+2 (M placements + reject), so a shallow split suffices.
-	splitDepth := 0
-	count := 1
-	for splitDepth < n-1 && splitDepth < 8 && count < 4*workers {
-		splitDepth++
-		count *= in.M + 1
-	}
-	if splitDepth == 0 {
-		sol, _, err := e.SolveStats(in)
-		return sol, err
-	}
-
-	type mpPrefix struct {
-		loads   []int64
-		choice  []int
-		penalty float64
-	}
-	var prefixes []mpPrefix
-	loads := make([]int64, in.M)
-	choice := make([]int, splitDepth)
-	var enumerate func(i int, penalty float64)
-	enumerate = func(i int, penalty float64) {
-		if i == splitDepth {
-			prefixes = append(prefixes, mpPrefix{
-				loads: slices.Clone(loads), choice: slices.Clone(choice), penalty: penalty,
-			})
-			return
-		}
-		t := in.Tasks.Tasks[i]
-		triedEmpty := false
-		for m := 0; m < in.M; m++ {
-			if loads[m] == 0 {
-				if triedEmpty {
-					continue
-				}
-				triedEmpty = true
-			}
-			if c.overloads(loads[m] + t.Cycles) {
-				continue
-			}
-			loads[m] += t.Cycles
-			choice[i] = m
-			enumerate(i+1, penalty)
-			loads[m] -= t.Cycles
-		}
-		choice[i] = -1
-		enumerate(i+1, penalty+t.Penalty)
-	}
-	enumerate(0, 0)
-
-	// The shared incumbent: the best cost any worker has proven so far,
-	// maintained with a CAS-min over its float bits.
-	var shared atomic.Uint64
-	shared.Store(math.Float64bits(math.Inf(1)))
-
-	type subtreeBest struct {
-		best Assignment
-		cost float64
-	}
-	results, err := conc.ForEach(len(prefixes), workers, func(i int) (subtreeBest, error) {
-		p := prefixes[i]
-		s := newMPSearcher(c, n)
-		s.shared = &shared
-		copy(s.loads, p.loads)
-		copy(s.choice, p.choice)
-		s.dfs(splitDepth, p.penalty)
-		return subtreeBest{best: s.best, cost: s.bestCost}, nil
-	})
-	if err != nil {
-		return Solution{}, err
-	}
-
-	// Fold the subtree winners in DFS order with the serial improvement
-	// rule.
-	s := newMPSearcher(c, n)
-	for _, r := range results {
-		if r.best != nil && r.cost < s.bestCost-1e-12 {
-			s.bestCost, s.best = r.cost, r.best
-		}
-	}
-	return s.finish(in)
-}
-
-// mpSearcher is one branch-and-bound search state: the serial search uses
-// a single instance, the parallel search one per subtree (plus the shared
-// incumbent they prune against).
-type mpSearcher struct {
-	c      *mpCtx
-	n      int
-	loads  []int64
-	choice []int // -1 reject, else processor
-
-	bestCost float64
-	best     Assignment
-	nodes    int64
-
-	// shared, when non-nil (parallel mode), is the cross-worker incumbent
-	// cost as float bits; workers prune against it and publish their own
-	// improvements into it.
-	shared *atomic.Uint64
-}
-
-func newMPSearcher(c *mpCtx, n int) *mpSearcher {
-	return &mpSearcher{
-		c:        c,
-		n:        n,
-		loads:    make([]int64, c.in.M),
-		choice:   make([]int, n),
-		bestCost: math.Inf(1),
-	}
-}
-
-// pruned reports whether a node whose partial cost is pc (a lower bound on
-// every leaf below it) cannot improve the result. The local incumbent uses
-// the serial rule (pc within 1e-12 of it never strictly improves). The
-// shared cross-worker incumbent is applied with the margin reversed —
-// prune only when pc exceeds it by more than 1e-12 — so a subtree whose
-// best leaf exactly ties another worker's published cost still finds that
-// leaf: subtree winners are then independent of publish timing, and the
-// DFS-ordered fold resolves exact ties the way the serial search does.
-func (s *mpSearcher) pruned(pc float64) bool {
-	if pc >= s.bestCost-1e-12 {
-		return true
-	}
-	return s.shared != nil && pc >= math.Float64frombits(s.shared.Load())+1e-12
-}
-
-// publish records an improved incumbent, CAS-minning it into the shared
-// bound in parallel mode.
-func (s *mpSearcher) publish(cost float64) {
-	if s.shared == nil {
-		return
-	}
-	for {
-		old := s.shared.Load()
-		if math.Float64frombits(old) <= cost {
-			return
-		}
-		if s.shared.CompareAndSwap(old, math.Float64bits(cost)) {
-			return
-		}
-	}
-}
-
-// dfs explores placements for tasks[i:], with penalty the accumulated
-// rejection penalty of the prefix.
-func (s *mpSearcher) dfs(i int, penalty float64) {
-	s.nodes++
-	// Bound: current energy + current penalty (both only grow).
-	var energy float64
-	for _, w := range s.loads {
-		energy += s.c.energyAt(w)
-	}
-	if s.pruned(energy + penalty) {
-		return
-	}
-	if i == s.n {
-		s.bestCost = energy + penalty
-		s.best = Assignment{}
-		for j, ch := range s.choice {
-			if ch >= 0 {
-				s.best[s.c.in.Tasks.Tasks[j].ID] = ch
-			}
-		}
-		s.publish(s.bestCost)
-		return
-	}
-	t := s.c.in.Tasks.Tasks[i]
-	// Symmetry reduction: only try the first empty processor.
-	triedEmpty := false
-	for m := 0; m < s.c.in.M; m++ {
-		if s.loads[m] == 0 {
-			if triedEmpty {
-				continue
-			}
-			triedEmpty = true
-		}
-		if s.c.overloads(s.loads[m] + t.Cycles) {
-			continue
-		}
-		s.loads[m] += t.Cycles
-		s.choice[i] = m
-		s.dfs(i+1, penalty)
-		s.loads[m] -= t.Cycles
-	}
-	s.choice[i] = -1
-	s.dfs(i+1, penalty+t.Penalty)
-}
-
-// finish converts the incumbent into an evaluated Solution, with the seed
-// code's handling of the degenerate cases.
-func (s *mpSearcher) finish(in Instance) (Solution, error) {
-	if s.best == nil && !math.IsInf(s.bestCost, 1) {
-		s.best = Assignment{} // everything rejected
-	}
-	if math.IsInf(s.bestCost, 1) {
-		return Solution{}, fmt.Errorf("multiproc: exhaustive search found no solution")
-	}
-	return Evaluate(in, s.best)
+	return exhaustive(AsHetero(in), e.MaxAssignments, 1)
 }

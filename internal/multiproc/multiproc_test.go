@@ -36,6 +36,77 @@ func TestInstanceValidate(t *testing.T) {
 	}
 }
 
+// TestIdenticalErrorTexts pins the identical-processor API's error texts.
+// The solvers run on AsHetero(in) only after Instance.Validate, so a bad
+// processor or M = 0 keeps its identical-processor wording rather than the
+// hetero validator's ("processor 0: …", "no processors").
+func TestIdenticalErrorTexts(t *testing.T) {
+	calls := []struct {
+		name string
+		run  func(Instance) error
+	}{
+		{"LTFReject", func(in Instance) error { _, err := (LTFReject{}).Solve(in); return err }},
+		{"LTFRejectLS", func(in Instance) error { _, err := (LTFRejectLS{}).Solve(in); return err }},
+		{"Exhaustive", func(in Instance) error { _, err := (Exhaustive{}).Solve(in); return err }},
+		{"ExhaustiveWorkers4", func(in Instance) error { _, err := (Exhaustive{Workers: 4}).Solve(in); return err }},
+		{"SolveStats", func(in Instance) error { _, _, err := (Exhaustive{}).SolveStats(in); return err }},
+		{"Evaluate", func(in Instance) error { _, err := Evaluate(in, Assignment{}); return err }},
+	}
+	base := func() Instance {
+		return twoProc(task.Task{ID: 1, Cycles: 4, Penalty: 1}, task.Task{ID: 2, Cycles: 6, Penalty: 2})
+	}
+	noM, noSMax, rho, dup, wide := base(), base(), base(), base(), base()
+	noM.M = 0
+	noSMax.Proc.SMax = 0
+	rho.Tasks.Tasks[0].Rho = 2
+	dup.Tasks.Tasks[1].ID = 1
+	wide.Tasks.Tasks = nil
+	for i := 0; i < 20; i++ {
+		wide.Tasks.Tasks = append(wide.Tasks.Tasks, task.Task{ID: i, Cycles: 1, Penalty: 1})
+	}
+	each := func(msg string) []string { return []string{msg, msg, msg, msg, msg, msg} }
+	limit := "multiproc: exhaustive search needs 14348907+ assignments, over the limit 5000000"
+	cases := []struct {
+		name string
+		in   Instance
+		want []string // per call, "" for success
+	}{
+		{"M=0", noM, each("multiproc: M = 0, want ≥ 1")},
+		{"SMax=0", noSMax, each("speed: smax = 0, want finite > 0")},
+		{"rho=2", rho, each("multiproc: task 1 has heterogeneous power coefficient")},
+		{"duplicate ID", dup, each("task set: duplicate task ID 1")},
+		{"20 tasks on M=2", wide, []string{"", "", limit, limit, limit, ""}},
+	}
+	for _, tc := range cases {
+		for i, call := range calls {
+			got := ""
+			if err := call.run(tc.in); err != nil {
+				got = err.Error()
+			}
+			if got != tc.want[i] {
+				t.Errorf("%s %s: error %q, want %q", tc.name, call.name, got, tc.want[i])
+			}
+		}
+	}
+
+	over := twoProc(task.Task{ID: 1, Cycles: 8, Penalty: 1}, task.Task{ID: 2, Cycles: 8, Penalty: 1})
+	for _, tc := range []struct {
+		name   string
+		assign Assignment
+		want   string
+	}{
+		{"processor out of range", Assignment{1: 2}, "multiproc: task 1 assigned to processor 2 of 2"},
+		{"unknown ID", Assignment{1: 0, 7: 1}, "multiproc: assignment references 1 unknown task IDs"},
+		{"over capacity", Assignment{1: 0, 2: 0},
+			"multiproc: processor 0: speed: workload exceeds smax·D, no feasible assignment: W = 16, capacity = 10"},
+	} {
+		_, err := Evaluate(over, tc.assign)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Evaluate %s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestEvaluateSplitsLoad(t *testing.T) {
 	in := twoProc(
 		task.Task{ID: 1, Cycles: 4, Penalty: 1},

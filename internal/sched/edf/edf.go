@@ -65,9 +65,14 @@ type Result struct {
 // Feasible reports whether no job missed its deadline.
 func (r Result) Feasible() bool { return r.Misses == 0 }
 
-// missSlack tolerates floating-point error when comparing completion times
-// against deadlines.
-const missSlack = 1e-9
+// missSlack and relSlack set the replay's float tolerance when comparing
+// completion times against deadlines: Simulate allows
+// max(missSlack, relSlack·largest deadline), because an absolute 1e-9 is
+// below float resolution on long frames (one ulp at 2²⁴ is ~3.7e-9).
+const (
+	missSlack = 1e-9
+	relSlack  = 1e-12
+)
 
 // active is the EDF ready queue: a min-heap on absolute deadline.
 type active []*running
@@ -98,7 +103,8 @@ func (a *active) Pop() any {
 // Simulate runs preemptive EDF over the jobs with the processor following
 // the speed profile. Time outside the profile's segments has speed 0. The
 // simulation ends when every job has completed or missed its deadline.
-// Results are returned in the order the jobs were supplied.
+// Results are returned in the order the jobs were supplied. Times are
+// compared with the frame-relative slack described at missSlack.
 func Simulate(jobs []Job, profile speed.Profile) (Result, error) {
 	for _, j := range jobs {
 		if err := j.Validate(); err != nil {
@@ -110,8 +116,10 @@ func Simulate(jobs []Job, profile speed.Profile) (Result, error) {
 	}
 
 	results := make([]JobResult, len(jobs))
+	slack := missSlack
 	for i, j := range jobs {
 		results[i] = JobResult{Job: j}
+		slack = math.Max(slack, relSlack*j.Deadline)
 	}
 	var slices []Slice
 	record := func(idx int, from, to float64) {
@@ -119,7 +127,7 @@ func Simulate(jobs []Job, profile speed.Profile) (Result, error) {
 			return
 		}
 		// Merge with the previous slice when the same job continues.
-		if n := len(slices); n > 0 && slices[n-1].JobIndex == idx && slices[n-1].End >= from-missSlack {
+		if n := len(slices); n > 0 && slices[n-1].JobIndex == idx && slices[n-1].End >= from-slack {
 			slices[n-1].End = to
 			return
 		}
@@ -144,7 +152,7 @@ func Simulate(jobs []Job, profile speed.Profile) (Result, error) {
 
 	for next < len(order) || ready.Len() > 0 {
 		// Release everything that has arrived by t.
-		for next < len(order) && jobs[order[next]].Release <= t+missSlack {
+		for next < len(order) && jobs[order[next]].Release <= t+slack {
 			i := order[next]
 			heap.Push(&ready, &running{job: jobs[i], remaining: jobs[i].Cycles, index: i})
 			next++
@@ -167,7 +175,7 @@ func Simulate(jobs []Job, profile speed.Profile) (Result, error) {
 			horizon = b
 		}
 		if horizon <= t {
-			horizon = t + missSlack // defensive: always make progress
+			horizon = t + slack // defensive: always make progress
 		}
 
 		// Execute the highest-priority job until the horizon or until it
@@ -180,14 +188,14 @@ func Simulate(jobs []Job, profile speed.Profile) (Result, error) {
 			finish = math.Inf(1)
 		}
 		switch {
-		case finish <= horizon+missSlack && finish <= cur.job.Deadline+missSlack:
+		case finish <= horizon+slack && finish <= cur.job.Deadline+slack:
 			// Job completes.
 			heap.Pop(&ready)
 			end := math.Min(finish, horizon)
 			results[cur.index].Finish = end
 			record(cur.index, t, end)
 			t = end
-		case horizon >= cur.job.Deadline-missSlack && finish > cur.job.Deadline+missSlack:
+		case horizon >= cur.job.Deadline-slack && finish > cur.job.Deadline+slack:
 			// The deadline arrives first: the job misses.
 			heap.Pop(&ready)
 			results[cur.index].Missed = true

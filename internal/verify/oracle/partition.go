@@ -30,8 +30,9 @@ type PartitionSolution struct {
 //   - Penalty is the task-order sum of rejected penalties, bit-exactly;
 //   - Cost = Energy + Penalty, bit-exactly.
 //
-// The recomputation follows multiproc.Evaluate's arithmetic order exactly,
-// so all float comparisons are bitwise.
+// The recomputation follows the arithmetic order of multiproc's evaluator
+// (Evaluate and EvaluateHetero share one body) exactly, so all float
+// comparisons are bitwise.
 func CheckPartition(set task.Set, proc speed.Proc, m int, sol PartitionSolution) error {
 	procs := make([]speed.Proc, m)
 	for i := range procs {
@@ -89,7 +90,7 @@ func CheckHeteroPartition(set task.Set, procs []speed.Proc, sol PartitionSolutio
 		return Fail("partition-invariants", "solution", d.Err())
 	}
 
-	// From-scratch recomputation in multiproc.Evaluate's order: loads and
+	// From-scratch recomputation in multiproc's evaluator order: loads and
 	// penalty over the task list in position order, then energies in
 	// processor order.
 	loads := make([]int64, m)

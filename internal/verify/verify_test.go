@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dvsreject/internal/core"
+	"dvsreject/internal/gen"
 	"dvsreject/internal/power"
 	"dvsreject/internal/speed"
 	"dvsreject/internal/task"
@@ -82,6 +83,29 @@ func TestCheckSolutionDetectsCorruption(t *testing.T) {
 	bad.Accepted = append(bad.Accepted, 999)
 	if verify.CheckSolution(in, bad) == nil {
 		t.Error("unknown accepted ID not detected")
+	}
+}
+
+// TestCheckSolutionLongFrame is the regression test for the EDF replay's
+// slack: the exact sparse-DP answer on this cold-wire-shaped frame
+// (D = 2²⁴) fills its frame to within float resolution, and an absolute
+// 1e-9 replay slack — below one ulp at that scale — reported it as a
+// deadline miss.
+func TestCheckSolutionLongFrame(t *testing.T) {
+	const seed = 7
+	set, err := gen.Sparse(rand.New(rand.NewSource(seed)), gen.SparseConfig{
+		N: 32 + seed%9, Penalty: gen.PenaltyModel(seed % 3),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := core.Instance{Tasks: set, Proc: speed.Proc{Model: power.Cubic(), SMax: 1}}
+	sol, err := (core.DP{Sparse: core.SparseOn}).Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verify.CheckSolution(in, sol); err != nil {
+		t.Fatalf("exact answer rejected: %v", err)
 	}
 }
 
