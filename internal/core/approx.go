@@ -84,10 +84,11 @@ func (a ApproxDP) SolveStats(in Instance) (Solution, DPStats, error) {
 		return Solution{}, DPStats{}, fmt.Errorf("core: ApproxDP needs %d states, over the limit %d (raise ε)", work, limit)
 	}
 
-	accepted, st, err := rejectionDP(scaled, capScaled, ctx.energy, float64(k), ctx.fastEnergy, a.Workers, sc, nil)
+	r := dpRun{its: scaled, cap64: capScaled, scale: float64(k), monotone: ctx.fastEnergy, workers: a.Workers}
+	accepted, err := r.solve(sc, dpRow0, ctx.energy)
 	if err != nil {
-		return Solution{}, st, err
+		return Solution{}, r.stats, err
 	}
 	sol, err := ctx.evaluate(accepted)
-	return sol, st, err
+	return sol, r.stats, err
 }

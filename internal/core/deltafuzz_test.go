@@ -57,38 +57,17 @@ func deltaMutants(in core.Instance) []deltaMutant {
 	return out
 }
 
-// checkDeltaSolve records a checkpointed parent solve and pins every
-// mutant's warm result — read-only shared-parent first, then a short
-// evolving chain — against a from-scratch solve.
+// checkDeltaSolve pins every mutant's warm result — read-only
+// shared-parent first, then a short evolving chain — against a
+// from-scratch solve. The read-only battery runs twice: at the default
+// budgets, and at sparseFuzzBudget, where the codec's grids straddle the
+// dense wall and a warm start must follow the cold solve's row
+// representation.
 func checkDeltaSolve(in core.Instance) error {
 	d := core.DP{CheckpointStride: 4}
-	var st core.DPState
-	base, _, err := d.SolveCheckpoint(in, &st)
-	if err != nil {
-		if st.Valid() {
-			return fmt.Errorf("delta: cold solve failed (%v) but left a valid state", err)
-		}
-		return nil
-	}
-	if err := verify.CheckSolution(in, base); err != nil {
-		return fmt.Errorf("delta: parent solve: %w", err)
-	}
-
-	// Read-only warm starts: each mutant shares the same parent state.
-	for _, m := range deltaMutants(in) {
-		want, errC := (core.DP{}).Solve(m.in)
-		sol, _, ok, errW := d.SolveFrom(&st, m.in, false)
-		if (errC == nil) != (errW == nil) {
-			return fmt.Errorf("delta %s: cold err=%v, warm err=%v", m.name, errC, errW)
-		}
-		if errC != nil || !ok {
-			continue
-		}
-		if err := verify.BitIdenticalSolutions(sol, want); err != nil {
-			return fmt.Errorf("delta %s: %w", m.name, err)
-		}
-		if err := verify.CheckSolution(m.in, sol); err != nil {
-			return fmt.Errorf("delta %s: oracle: %w", m.name, err)
+	for _, rd := range []core.DP{d, {CheckpointStride: 4, MaxStates: sparseFuzzBudget}} {
+		if err := checkDeltaReadOnly(rd, in); err != nil {
+			return fmt.Errorf("MaxStates=%d: %w", rd.MaxStates, err)
 		}
 	}
 
@@ -121,6 +100,41 @@ func checkDeltaSolve(in core.Instance) error {
 			return fmt.Errorf("delta evolve %s: %w", m.name, err)
 		}
 		cur = m.in
+	}
+	return nil
+}
+
+// checkDeltaReadOnly records a checkpointed parent solve under d and
+// warm-starts every mutant from it read-only: warm and cold d.Solve
+// errors must agree, and a taken warm start must be bit-identical to the
+// cold solve and pass the EDF oracle.
+func checkDeltaReadOnly(d core.DP, in core.Instance) error {
+	var st core.DPState
+	base, _, err := d.SolveCheckpoint(in, &st)
+	if err != nil {
+		if st.Valid() {
+			return fmt.Errorf("delta: cold solve failed (%v) but left a valid state", err)
+		}
+		return nil
+	}
+	if err := verify.CheckSolution(in, base); err != nil {
+		return fmt.Errorf("delta: parent solve: %w", err)
+	}
+	for _, m := range deltaMutants(in) {
+		want, errC := d.Solve(m.in)
+		sol, _, ok, errW := d.SolveFrom(&st, m.in, false)
+		if (errC == nil) != (errW == nil) || (errC != nil && errC.Error() != errW.Error()) {
+			return fmt.Errorf("delta %s: cold err=%v, warm err=%v", m.name, errC, errW)
+		}
+		if errC != nil || !ok {
+			continue
+		}
+		if err := verify.BitIdenticalSolutions(sol, want); err != nil {
+			return fmt.Errorf("delta %s: %w", m.name, err)
+		}
+		if err := verify.CheckSolution(m.in, sol); err != nil {
+			return fmt.Errorf("delta %s: oracle: %w", m.name, err)
+		}
 	}
 	return nil
 }

@@ -290,6 +290,33 @@ func (s *refSearcher) leaf(wEff, vRej float64) {
 	}
 }
 
+// takeTable is the seed's reconstruction bitset: one bit per (task,
+// workload) cell.
+type takeTable struct {
+	words []uint64
+	width int64 // words per task row
+}
+
+func newTakeTable(words []uint64, n int, width int64) takeTable {
+	perRow := (width + 63) / 64
+	need := int64(n) * perRow
+	if words == nil || int64(cap(words)) < need {
+		words = make([]uint64, need)
+	} else {
+		words = words[:need]
+		clear(words)
+	}
+	return takeTable{words: words, width: perRow}
+}
+
+func (t takeTable) set(i int, w int64) {
+	t.words[int64(i)*t.width+w/64] |= 1 << uint(w%64)
+}
+
+func (t takeTable) get(i int, w int64) bool {
+	return t.words[int64(i)*t.width+w/64]&(1<<uint(w%64)) != 0
+}
+
 // refRejectionDP is the seed rejection DP with the full-width final scan.
 func refRejectionDP(its []item, cap64 int64, energy func(float64) float64, scale float64) ([]int, error) {
 	n := len(its)

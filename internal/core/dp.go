@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"dvsreject/internal/conc"
 )
@@ -98,7 +99,7 @@ func (d DP) SolveStats(in Instance) (Solution, DPStats, error) {
 // solve is the shared implementation of SolveStats and SolveCheckpoint:
 // rec, when non-nil, records the checkpointed row state of the run (see
 // dpstate.go). Recording never changes a bit of the solution — it only
-// copies row snapshots and the finished take table out of the solve.
+// snapshots rows and keeps the take bits in the state.
 func (d DP) solve(in Instance, rec *DPState) (Solution, DPStats, error) {
 	if rec != nil {
 		rec.valid = false
@@ -112,34 +113,45 @@ func (d DP) solve(in Instance, rec *DPState) (Solution, DPStats, error) {
 		return Solution{}, DPStats{}, ErrHeterogeneous
 	}
 	cap64 := dpCapacity(ctx.capacity)
-	limit := d.MaxStates
-	if limit == 0 {
-		limit = DefaultMaxDPStates
+	r, err := d.newRun(ctx.items, cap64, ctx.fastEnergy)
+	if err != nil {
+		return Solution{}, DPStats{}, err
 	}
-	if d.Sparse == SparseOn || (d.Sparse == SparseAuto && len(ctx.items) > 0 && cap64 >= 0 &&
-		(cap64 >= limit || int64(len(ctx.items))*(cap64+1) > limit)) {
-		return d.solveSparse(ctx, cap64, rec)
-	}
-	if work := int64(len(ctx.items)) * (cap64 + 1); work > limit {
-		return Solution{}, DPStats{}, denseStatesErr(work, len(ctx.items), cap64, limit)
-	}
-
-	var onRow func(rows int, f []float64, reach int64)
 	if rec != nil {
-		rec.begin(cap64, d.checkpointStride(), len(ctx.items))
-		onRow = rec.noteRow
+		rec.begin(cap64, d.checkpointStride(), len(ctx.items), r.sparse, r.prune)
+		r.rec = rec
 	}
 	sc := getDPScratch()
 	defer putDPScratch(sc)
-	accepted, st, err := rejectionDP(ctx.items, cap64, ctx.energy, 1, ctx.fastEnergy, d.Workers, sc, onRow)
+	ids, err := r.solve(sc, dpRow0, ctx.energy)
 	if err != nil {
-		return Solution{}, st, err
+		return Solution{}, r.stats, err
 	}
-	if rec != nil {
-		rec.finish(ctx.items, sc.words)
+	sol, err := ctx.evaluate(ids)
+	return sol, r.stats, err
+}
+
+// newRun sets up an exact solve of its on the grid [0, cap64]. It is the
+// one place that picks the row representation and applies the dense
+// admission check, for cold and warm solves alike: SparseAuto keeps
+// dense rows while the n·(cap64+1) grid fits the state budget.
+func (d DP) newRun(its []item, cap64 int64, monotone bool) (dpRun, error) {
+	denseLimit := d.MaxStates
+	if denseLimit == 0 {
+		denseLimit = DefaultMaxDPStates
 	}
-	sol, err := ctx.evaluate(accepted)
-	return sol, st, err
+	r := dpRun{its: its, cap64: cap64, scale: 1, monotone: monotone, prune: monotone,
+		workers: d.Workers, limit: d.MaxStates, denseLimit: denseLimit}
+	if r.limit == 0 {
+		r.limit = DefaultMaxSparseCells
+	}
+	n := int64(len(its))
+	work := n * (cap64 + 1)
+	r.sparse = d.Sparse == SparseOn || (d.Sparse == SparseAuto && n > 0 && cap64 >= 0 && (cap64 >= denseLimit || work > denseLimit))
+	if !r.sparse && work > denseLimit {
+		return r, denseStatesErr(work, len(its), cap64, denseLimit)
+	}
+	return r, nil
 }
 
 // dpRow computes cells [0, hi) of one row, chunked across workers when
@@ -176,135 +188,230 @@ func denseStatesErr(work int64, n int, cap64, limit int64) error {
 	return fmt.Errorf("core: DP needs %d states (%d tasks × %d workload levels), over the limit %d (%w): use ApproxDP for an approximate solve, or sparse rows (DP.Sparse = SparseOn, solver %q) for an exact one", work, n, cap64+1, limit, ErrStateBudget, "DP-SPARSE")
 }
 
-// takeTable is the reconstruction bitset: one bit per (task, workload)
-// cell, 8× smaller than a [][]bool and friendlier to the cache on large
-// grids.
-type takeTable struct {
-	words []uint64
-	width int64 // words per task row
+// dpRun is one exact rejection-DP solve through the single row driver:
+// fold folds rows [from.row, n) of its from a snapshot in either row
+// representation, scan picks the best workload of the last row, and
+// reconstruct walks the take bits back across two row records — lo, the
+// rows below hi.base read back (a warm start's recorded prefix, or the
+// sparse prefix of a switched run), and hi, the rows the fold wrote. The
+// energy curve enters only the scan, so it is passed there.
+type dpRun struct {
+	its      []item // c in grid units
+	cap64    int64
+	scale    float64 // grid units → true cycles for the energy curve
+	monotone bool    // non-decreasing energy: pruned, cut-off final scan
+	prune    bool    // sparse rows keep only the dominance frontier
+	workers  int
+	sparse   bool  // rows start sparse
+	limit    int64 // sparse breakpoint budget, summed over all rows
+	spent    int64 // breakpoints already spent (a warm start's prefix)
+	// denseLimit admits the adaptive switchover: an unrecorded cold sparse
+	// run whose occupancy passes 1/8 of the grid finishes on dense rows
+	// once the rest of the table fits it — the dense kernel's branch-free
+	// cells are then cheaper than merge breakpoints.
+	denseLimit int64
+	rec        *DPState // recording target: checkpoints, and take bits in place
+
+	lo, hi rowRec
+	stats  DPStats
 }
 
-func newTakeTable(words []uint64, n int, width int64) takeTable {
-	perRow := (width + 63) / 64
-	need := int64(n) * perRow
-	if words == nil || int64(cap(words)) < need {
-		words = make([]uint64, need)
-	} else {
-		words = words[:need]
-		clear(words)
-	}
-	return takeTable{words: words, width: perRow}
+// rowRec locates the take bits of rows [base, …): packed dense words,
+// perRow per row, or a sparse breakpoint record.
+type rowRec struct {
+	base   int
+	words  []uint64
+	perRow int64
+	sp     *sparseRows
 }
 
-func (t takeTable) set(i int, w int64) {
-	t.words[int64(i)*t.width+w/64] |= 1 << uint(w%64)
+// row returns dense row i's take words, cell-indexed by w>>6.
+func (r rowRec) row(i int) []uint64 {
+	o := int64(i-r.base) * r.perRow
+	return r.words[o : o+r.perRow]
 }
 
-func (t takeTable) get(i int, w int64) bool {
-	return t.words[int64(i)*t.width+w/64]&(1<<uint(w%64)) != 0
+// take reports row i's take bit at workload w.
+func (r rowRec) take(i int, w int64) (bool, error) {
+	if r.sp == nil {
+		return r.row(i)[w>>6]&(1<<uint(w&63)) != 0, nil
+	}
+	rw := r.sp.row(i - r.base)
+	j, found := slices.BinarySearch(rw, w)
+	if !found {
+		return false, fmt.Errorf("core: DP reconstruction lost workload %d at row %d", w, i)
+	}
+	return r.sp.take(i-r.base, j), nil
 }
 
-// row returns task i's word slice, cell-indexed by w>>6.
-func (t takeTable) row(i int) []uint64 {
-	return t.words[int64(i)*t.width : (int64(i)+1)*t.width]
+// dpRow0 is row 0 of every cold solve: the empty prefix reaches only
+// workload 0 at zero penalty. Read-only — rows are written into the
+// solve's own buffers, and snapshots copy.
+var dpRow0 = dpSnap{ws: []int64{0}, f: []float64{0}}
+
+// solve folds, scans and reconstructs, returning the accepted IDs. A
+// recording state is marked valid, holding a copy of its, only on success.
+func (r *dpRun) solve(sc *dpScratch, from dpSnap, energy func(float64) float64) ([]int, error) {
+	ws, f, err := r.fold(sc, from)
+	var ids []int
+	if err == nil {
+		if w, _ := r.scan(ws, f, energy); w < 0 {
+			err = errors.New("core: DP found no feasible workload")
+		} else {
+			ids, err = r.reconstruct(sc, w)
+		}
+	}
+	if st := r.rec; st != nil {
+		st.valid = err == nil
+		st.items = append(st.items[:0], r.its...)
+	}
+	return ids, err
 }
 
-// rejectionDP solves min energy(scale·w) + Σ rejected v over subsets with
-// Σ item.c ≤ cap64. Callers pass items whose c field is already expressed
-// in DP grid units; scale converts grid units back to true cycles for the
-// energy evaluation (1 for the exact DP). monotone declares the energy
-// curve non-decreasing in w, unlocking the pruned final scan of
-// minCostWorkload; pass false for curves with dormant break-evens or
-// discrete ladders. workers > 1 chunks rows and the monotone final scan;
-// any setting returns byte-identical results. It returns the accepted IDs.
-//
-// onRow, when non-nil, observes the finished row buffer after each item:
-// rows is the number of items folded in so far and f[0:reach+1] holds the
-// finite prefix (cells above reach are untouched +Inf). The checkpoint
-// recorder (dpstate.go) snapshots here; f must not be retained.
-func rejectionDP(its []item, cap64 int64, energy func(float64) float64, scale float64, monotone bool, workers int, sc *dpScratch, onRow func(rows int, f []float64, reach int64)) ([]int, DPStats, error) {
-	var st DPStats
-	if cap64 < 0 {
-		return nil, st, fmt.Errorf("core: negative DP capacity %d", cap64)
+// fold runs rows [from.row, n) from the snapshot row from, writing take
+// bits into r.hi and checkpoints into r.rec. It returns the last row:
+// sparse breakpoints (ws, f), or the full dense row f with ws nil.
+func (r *dpRun) fold(sc *dpScratch, from dpSnap) (ws []int64, f []float64, err error) {
+	if r.cap64 < 0 {
+		return nil, nil, fmt.Errorf("core: negative DP capacity %d", r.cap64)
 	}
-	n := len(its)
-	width := cap64 + 1
-	if workers < 1 {
-		workers = 1
+	n, start, width := len(r.its), from.row, r.cap64+1
+	sparse := r.sparse
+	r.record(sc, start, sparse)
+	ws, f = from.ws, from.f
+	var cur []float64
+	var reach int64
+	if !sparse {
+		f, cur, reach = sc.denseRows(width, ws, f)
+		ws = nil
 	}
-
-	// Double-buffered rows from the caller's scratch; the Inf refill and
-	// the zeroed bitset put reused buffers in exactly the state fresh
-	// make() calls had them. Cells at or above a row's reachable bound are
-	// never written in either buffer, so they keep this +Inf for the final
-	// scan.
-	prev := growF64(sc.f, int(width))
-	sc.f = prev
-	cur := growF64(sc.f2, int(width))
-	sc.f2 = cur
-	for w := range prev {
-		prev[w] = math.Inf(1)
-	}
-	for w := range cur {
-		cur[w] = math.Inf(1)
-	}
-	prev[0] = 0
-
-	// take records, per reachable workload, whether task i is accepted on
-	// the optimal path reaching it.
-	take := newTakeTable(sc.words, n, width)
-	sc.words = take.words
-
-	var reach int64 // largest attainable workload after the rows so far
-	for i, it := range its {
-		st.Rows++
-		st.DenseRows++
-		c, v := it.c, it.v
-		if c > cap64 {
-			// Can never be accepted: pay the penalty on every path.
-			hi := reach + 1
-			dpRejectRange(prev, cur, v, 0, hi)
-			st.Cells += hi
-			prev, cur = cur, prev
-			if onRow != nil {
-				onRow(i+1, prev, reach)
+	for i := start; i < n; i++ {
+		r.stats.Rows++
+		it := r.its[i]
+		if sparse {
+			var wrote []float64
+			var k int
+			ws, f, wrote, k = sparseStep(r.hi.sp, ws, f, sc.spF, it, r.cap64, r.prune, r.limit-r.spent)
+			sc.spF, sc.spF2 = sc.spF2, wrote
+			if k >= 0 {
+				r.spent += int64(k)
+				r.stats.SparseCells += int64(k)
 			}
-			continue
+			if k < 0 || r.spent > r.limit {
+				return nil, nil, sparseBudgetErr(r.limit, i+1, n)
+			}
+			if r.rec == nil && start == 0 && i+1 < n && int64(len(ws))*8 > width && int64(n-i-1)*width <= r.denseLimit {
+				sparse = false
+				r.lo = r.hi
+				r.record(sc, i+1, false)
+				f, cur, reach = sc.denseRows(width, ws, f)
+				ws = nil
+			}
+		} else {
+			r.stats.DenseRows++
+			if it.c > r.cap64 {
+				// Can never be accepted: pay the penalty on every path.
+				dpRejectRange(f, cur, it.v, 0, reach+1)
+			} else {
+				reach = min(reach+it.c, r.cap64)
+				dpRow(f, cur, r.hi.row(i), it.c, it.v, reach+1, r.workers)
+			}
+			r.stats.Cells += reach + 1
+			f, cur = cur, f
 		}
-		reach = min(reach+c, cap64)
-		hi := reach + 1
-		dpRow(prev, cur, take.row(i), c, v, hi, workers)
-		st.Cells += hi
-		prev, cur = cur, prev
-		if onRow != nil {
-			onRow(i+1, prev, reach)
+		if r.rec != nil {
+			snap := f
+			if !sparse {
+				snap = f[:reach+1]
+			}
+			r.rec.note(i+1, ws, snap)
 		}
 	}
-	f := prev
+	return ws, f, nil
+}
 
-	// Pick the best workload level.
-	var bestW int64
-	if workers > 1 && monotone {
-		bestW, _ = minCostWorkloadParallel(f, energy, scale, workers)
-	} else {
-		bestW, _ = minCostWorkload(f, energy, scale, monotone)
+// record points r.hi at zeroed take bits for rows [start, n): the
+// recording state's own record, truncated to start (so r.lo is the same
+// record), or a scratch window.
+func (r *dpRun) record(sc *dpScratch, start int, sparse bool) {
+	n := len(r.its)
+	perRow := (r.cap64 + 64) / 64
+	switch st := r.rec; {
+	case st != nil && sparse:
+		st.sp.begin(start)
+	case st != nil:
+		st.ensureRows(n, start)
+		clear(st.words[int64(start)*perRow:])
+	case sparse:
+		sc.spRec.begin(0)
+		r.hi = rowRec{base: start, sp: &sc.spRec}
+		return
+	default:
+		sc.words = growU64(sc.words, int(int64(n-start)*perRow))
+		clear(sc.words)
+		r.hi = rowRec{base: start, words: sc.words, perRow: perRow}
+		return
 	}
-	if bestW < 0 {
-		return nil, st, fmt.Errorf("core: DP found no feasible workload")
-	}
+	r.hi = r.rec.rows()
+	r.lo = r.hi
+}
 
-	// Reconstruct.
+// denseRows returns the double-buffered dense rows, Inf-filled (cells
+// above a row's reach are never written and must read +Inf), with the
+// row (ws, f) loaded into the first — a dense prefix f[0:reach+1] when ws
+// is empty, else sparse breakpoints scattered into their cells — and
+// that row's reach. Holes left by pruned sparse cells read +Inf too: a
+// dominated cell's descendants are themselves dominated, so the final
+// scan's frontier filter drops every cell they could distort.
+func (sc *dpScratch) denseRows(width int64, ws []int64, f []float64) ([]float64, []float64, int64) {
+	sc.f, sc.f2 = growF64(sc.f, int(width)), growF64(sc.f2, int(width))
+	prev, cur := sc.f, sc.f2
+	for w := range prev {
+		prev[w], cur[w] = math.Inf(1), math.Inf(1)
+	}
+	if len(ws) == 0 {
+		copy(prev, f)
+		return prev, cur, int64(len(f)) - 1
+	}
+	for j, w := range ws {
+		prev[w] = f[j]
+	}
+	return prev, cur, ws[len(ws)-1]
+}
+
+// scan is the final workload scan of the last row (see fold): the
+// cheapest E(w·scale) + f[w], ties to the smaller workload.
+func (r *dpRun) scan(ws []int64, f []float64, energy func(float64) float64) (int64, float64) {
+	switch {
+	case ws != nil:
+		return minCostWorkloadSparse(ws, f, energy, r.scale, r.monotone)
+	case r.workers > 1 && r.monotone:
+		return minCostWorkloadParallel(f, energy, r.scale, r.workers)
+	}
+	return minCostWorkload(f, energy, r.scale, r.monotone)
+}
+
+// reconstruct walks the take bits back from the final workload w: rows
+// at or above r.hi.base from r.hi, the rows below from r.lo.
+func (r *dpRun) reconstruct(sc *dpScratch, w int64) ([]int, error) {
 	ids := sc.ids[:0]
-	w := bestW
-	for i := n - 1; i >= 0; i-- {
-		if take.get(i, w) {
-			ids = append(ids, its[i].id)
-			w -= its[i].c
+	for i := len(r.its) - 1; i >= 0; i-- {
+		rec := r.hi
+		if i < rec.base {
+			rec = r.lo
+		}
+		taken, err := rec.take(i, w)
+		if err != nil {
+			return nil, err
+		}
+		if taken {
+			ids = append(ids, r.its[i].id)
+			w -= r.its[i].c
 		}
 	}
 	sc.ids = ids
 	if w != 0 {
-		return nil, st, fmt.Errorf("core: DP reconstruction left workload %d", w)
+		return nil, fmt.Errorf("core: DP reconstruction left workload %d", w)
 	}
-	return ids, st, nil
+	return ids, nil
 }

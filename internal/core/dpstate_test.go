@@ -257,6 +257,54 @@ func TestDPStateStatsSavings(t *testing.T) {
 	if stats.Rows > 16 {
 		t.Fatalf("tail mutation re-ran %d rows, want ≤ stride 16", stats.Rows)
 	}
+	if stats.DenseRows != stats.Rows {
+		t.Fatalf("warm dense solve: %+v, want DenseRows == Rows", stats)
+	}
+}
+
+// TestDPStateDenseWall pins SolveFrom to the cold solve's row
+// representation at the dense budget wall. Ten tasks on 100 workload
+// levels fill a 1000-state budget exactly; the eleventh tips the dense
+// grid over it, so a cold SparseAuto solve switches to sparse rows. The
+// dense-recorded state must then decline rather than report the dense
+// refusal, and the next append warms from the sparse recording. A sparse
+// state must not warm a SparseOff solve that is refused cold.
+func TestDPStateDenseWall(t *testing.T) {
+	in := cubicInstance()
+	in.Tasks.Deadline = 99
+	for i := 1; i <= 10; i++ {
+		in.Tasks.Tasks = append(in.Tasks.Tasks, task.Task{ID: i, Cycles: int64(4 + i%7), Penalty: float64(1 + i%4)})
+	}
+	app := withTasks(in, append(cloneTasks(in), task.Task{ID: 11, Cycles: 9, Penalty: 2}))
+	app2 := withTasks(app, append(cloneTasks(app), task.Task{ID: 12, Cycles: 6, Penalty: 3}))
+
+	d := DP{MaxStates: 1000, CheckpointStride: 4}
+	var st DPState
+	if _, stats, err := d.SolveCheckpoint(in, &st); err != nil || stats.SparseCells != 0 {
+		t.Fatalf("parent: %+v, %v; want a dense recording", stats, err)
+	}
+	cold, coldStats, err := d.SolveStats(app)
+	if err != nil || coldStats.SparseCells == 0 {
+		t.Fatalf("cold append: %+v, %v; want a sparse solve", coldStats, err)
+	}
+	if _, _, ok, err := d.SolveFrom(&st, app, false); ok || err != nil {
+		t.Fatalf("dense state across the wall: ok=%v err=%v; want a decline", ok, err)
+	}
+	if _, _, ok, err := d.SolveFrom(&st, app, true); ok || err != nil {
+		t.Fatalf("evolve across the wall: ok=%v err=%v; want a decline", ok, err)
+	}
+	warm, _, err := d.SolveCheckpoint(app, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitIdentical(t, "re-recorded append", warm, cold)
+	warmVsCold(t, "sparse append", d, &st, app2, true)
+
+	off := DP{MaxStates: 1000, Sparse: SparseOff}
+	_, coldErr := off.Solve(app2)
+	if _, _, ok, err := off.SolveFrom(&st, app2, false); coldErr == nil || err == nil || err.Error() != coldErr.Error() || ok {
+		t.Fatalf("SparseOff over a sparse state: ok=%v err=%v; cold err=%v", ok, err, coldErr)
+	}
 }
 
 // TestPurgeSolverScratch checks solves stay correct across a pool purge

@@ -75,7 +75,8 @@ func CostLowerBound(in Instance, maxStates int64) (float64, error) {
 
 	sc := getDPScratch()
 	defer putDPScratch(sc)
-	accepted, _, err := rejectionDP(its, cap64/k, ctx.energy, float64(k), true, 1, sc, nil)
+	r := dpRun{its: its, cap64: cap64 / k, scale: float64(k), monotone: true}
+	accepted, err := r.solve(sc, dpRow0, ctx.energy)
 	if err != nil {
 		return 0, err
 	}

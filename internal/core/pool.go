@@ -26,7 +26,7 @@ import (
 type dpScratch struct {
 	f      []float64  // DP row buffer, one cell per workload level
 	f2     []float64  // second row buffer (the kernel double-buffers rows)
-	words  []uint64   // takeTable backing
+	words  []uint64   // dense take bits of an unrecorded solve
 	ids    []int      // reconstruction output
 	scaled []item     // ApproxDP's rounded item view
 	g      []int64    // ApproxDPPenalty's row, one cell per penalty level

@@ -13,16 +13,16 @@ const subsetMemoSize = 1024
 // pay the instance validation and the evaluation-context build once, in
 // NewSubsetDP, instead of once per probe.
 //
-// Cost runs the sparse rows over the chosen tasks and returns only the
-// final scan's minimum: no reconstruction, no evaluation, no Solution.
+// Cost runs the DP rows over the chosen tasks — sparse, switching to
+// dense rows in place where DP.Solve would — and returns only the final
+// scan's minimum: no reconstruction, no evaluation, no Solution.
 // Energies come through a fixed-size memo keyed by integer workload,
 // which returns the very bits the curve does. Contract: Cost(idx)
 // returns the same cost bits and the same error as dp.Solve on the
 // instance whose tasks are in.Tasks.Tasks[idx[0]], in.Tasks.Tasks[idx[1]],
 // … in that order; Solve(idx) is that very call. A probe the fast path
-// does not cover — one whose rows would switch to the dense kernel or
-// pass the breakpoint budget, a repeated index, or any dp other than
-// SparseOn — is handed to dp.Solve unchanged.
+// does not cover — one past the breakpoint budget, a repeated index, or
+// any dp other than SparseOn — is handed to dp.Solve unchanged.
 //
 // A SubsetDP is not safe for concurrent use.
 type SubsetDP struct {
@@ -30,7 +30,7 @@ type SubsetDP struct {
 	ctx   *evalCtx // holds the instance
 	cap64 int64
 
-	sc   dpScratch   // row record and value buffers, reused by every Cost
+	sc   dpScratch   // row records and buffers, reused by every Cost
 	its  []item      // the probe's items, in probe order
 	seen []bool      // per-task marks of the repeated-index check
 	sub  []task.Task // the materialized subset of a Solve
@@ -70,12 +70,12 @@ func (s *SubsetDP) Cost(idx []int) (float64, error) {
 	if s.dp.Sparse != SparseOn || !s.gather(idx) {
 		return s.solveCost(idx)
 	}
-	var stats DPStats
-	ws, fs, done, err := s.dp.sparseForward(&s.sc, &s.sc.spRec, s.its, s.cap64, s.ctx.fastEnergy, nil, &stats)
-	if err != nil || done < len(s.its) {
+	r, _ := s.dp.newRun(s.its, s.cap64, s.ctx.fastEnergy) // SparseOn admits every grid
+	ws, f, err := r.fold(&s.sc, dpRow0)
+	if err != nil {
 		return s.solveCost(idx)
 	}
-	w, cost := minCostWorkloadSparse(ws, fs, s.energy, 1, s.ctx.fastEnergy)
+	w, cost := r.scan(ws, f, s.energy)
 	if w < 0 {
 		return s.solveCost(idx)
 	}

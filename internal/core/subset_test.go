@@ -27,7 +27,7 @@ func subsetOf(in Instance, idx []int) Instance {
 // the whole set cost exactly what DP-SPARSE returns on the materialized
 // subset — the same cost bits and the same error text — including probes
 // past a small breakpoint budget and grids whose rows switch to the dense
-// kernel. It also counts that those two delegated paths were reached.
+// kernel. It also counts that both cases were reached.
 func TestSubsetDPMatchesSolve(t *testing.T) {
 	flavours := []struct {
 		name string

@@ -118,3 +118,29 @@ func TestReplannerEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReplannerDenseWall streams arrivals across the DP's dense budget
+// wall: ten tasks on 100 workload levels fill a 1000-state budget, so
+// from the eleventh on a cold solve runs sparse rows. The warm replanner
+// must take every arrival the cold one takes, with the same plans.
+func TestReplannerDenseWall(t *testing.T) {
+	proc := speed.Proc{Model: power.Cubic(), SMax: 1}
+	const deadline = 99
+	dp := core.DP{MaxStates: 1000, CheckpointStride: 4}
+	warm, cold := NewReplanner(proc, deadline), NewReplanner(proc, deadline)
+	warm.DP, cold.DP, cold.Cold = dp, dp, true
+	for id := 1; id <= 12; id++ {
+		tk := task.Task{ID: id, Cycles: int64(4 + id%7), Penalty: float64(1 + id%4)}
+		want, err := cold.Arrive(tk)
+		if err != nil {
+			t.Fatalf("arrival %d: cold: %v", id, err)
+		}
+		got, err := warm.Arrive(tk)
+		if err != nil {
+			t.Fatalf("arrival %d: warm: %v", id, err)
+		}
+		if err := verify.BitIdenticalSolutions(got, want); err != nil {
+			t.Fatalf("arrival %d: %v", id, err)
+		}
+	}
+}
