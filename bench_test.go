@@ -1,267 +1,53 @@
 package dvsreject
 
-// The benchmark harness: one BenchmarkExpN per reconstructed table/figure
-// (E1..E15 in DESIGN.md §4), each running the experiment in quick mode so
-// `go test -bench=.` regenerates every result series, plus microbenchmarks
-// of the individual solvers and substrates. For full-size tables use
+// The benchmark harness: BenchmarkExp runs each reconstructed table/figure
+// (E1..E16 in DESIGN.md §4) in quick mode, so `go test -bench=Exp`
+// regenerates every result series, and BenchmarkCore runs the solver and
+// substrate microbenchmarks of internal/benchcase — the cases cmd/bench
+// records in BENCH_core.json. For full-size tables use
 // `go run ./cmd/experiments`.
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
-	"dvsreject/internal/core"
-	"dvsreject/internal/dormant"
+	"dvsreject/internal/benchcase"
 	"dvsreject/internal/exper"
-	"dvsreject/internal/gen"
-	"dvsreject/internal/multiproc"
-	"dvsreject/internal/online"
-	"dvsreject/internal/power"
-	"dvsreject/internal/sched/edf"
-	"dvsreject/internal/speed"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	e, ok := exper.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tab, err := e.Run(exper.Options{Quick: true, Seed: int64(i) + 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkExp1(b *testing.B)  { benchExperiment(b, "E1") }
-func BenchmarkExp2(b *testing.B)  { benchExperiment(b, "E2") }
-func BenchmarkExp3(b *testing.B)  { benchExperiment(b, "E3") }
-func BenchmarkExp4(b *testing.B)  { benchExperiment(b, "E4") }
-func BenchmarkExp5(b *testing.B)  { benchExperiment(b, "E5") }
-func BenchmarkExp6(b *testing.B)  { benchExperiment(b, "E6") }
-func BenchmarkExp7(b *testing.B)  { benchExperiment(b, "E7") }
-func BenchmarkExp8(b *testing.B)  { benchExperiment(b, "E8") }
-func BenchmarkExp9(b *testing.B)  { benchExperiment(b, "E9") }
-func BenchmarkExp10(b *testing.B) { benchExperiment(b, "E10") }
-func BenchmarkExp11(b *testing.B) { benchExperiment(b, "E11") }
-func BenchmarkExp12(b *testing.B) { benchExperiment(b, "E12") }
-func BenchmarkExp13(b *testing.B) { benchExperiment(b, "E13") }
-func BenchmarkExp14(b *testing.B) { benchExperiment(b, "E14") }
-func BenchmarkExp15(b *testing.B) { benchExperiment(b, "E15") }
-func BenchmarkExp16(b *testing.B) { benchExperiment(b, "E16") }
-
-// benchInstance builds one deterministic contested instance.
-func benchInstance(b *testing.B, n int, load float64) core.Instance {
-	b.Helper()
-	set, err := gen.Frame(rand.New(rand.NewSource(42)), gen.Config{
-		N: n, Load: load, Deadline: 1000,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return core.Instance{Tasks: set, Proc: speed.Proc{Model: power.Cubic(), SMax: 1}}
-}
-
-func benchSolver(b *testing.B, s core.Solver, n int) {
-	in := benchInstance(b, n, 1.5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolverDP(b *testing.B) {
-	for _, n := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchSolver(b, core.DP{}, n) })
-	}
-}
-
-func BenchmarkSolverApproxDP(b *testing.B) {
-	for _, n := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchSolver(b, core.ApproxDP{Eps: 0.1}, n) })
-	}
-}
-
-func BenchmarkSolverGreedyDensity(b *testing.B) {
-	for _, n := range []int{10, 100, 1000, 10000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchSolver(b, core.GreedyDensity{}, n) })
-	}
-}
-
-func BenchmarkSolverGreedyMarginal(b *testing.B) {
-	for _, n := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchSolver(b, core.GreedyMarginal{}, n) })
-	}
-}
-
-func BenchmarkSolverExhaustive(b *testing.B) {
-	for _, n := range []int{12, 16, 20} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchSolver(b, core.Exhaustive{Workers: 1}, n) })
-	}
-}
-
-func BenchmarkSolverExhaustiveParallel(b *testing.B) {
-	for _, n := range []int{16, 20} {
-		// Workers = 0 fans the subtree search out to GOMAXPROCS workers.
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchSolver(b, core.Exhaustive{}, n) })
-	}
-}
-
-func BenchmarkSolverRandomAdmission(b *testing.B) {
-	for _, n := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchSolver(b, core.RandomAdmission{Seed: 1, Restarts: 32, Workers: 1}, n)
-		})
-	}
-}
-
-func BenchmarkSolverRandomAdmissionParallel(b *testing.B) {
-	for _, n := range []int{100, 1000} {
-		// Workers = 0 runs the restarts on a GOMAXPROCS-wide pool; the
-		// result is identical to the serial run for the same seed.
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchSolver(b, core.RandomAdmission{Seed: 1, Restarts: 32}, n)
-		})
-	}
-}
-
-func BenchmarkMultiprocLTFRejectLS(b *testing.B) {
-	// Total load scales with M so every processor sees load 1.5, the E9
-	// regime (M=4 reproduces the former fixed-shape benchmark).
-	for _, m := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
-			set, err := gen.Frame(rand.New(rand.NewSource(42)), gen.Config{N: 64, Load: 1.5 * float64(m), Deadline: 1000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			in := multiproc.Instance{Tasks: set, Proc: speed.Proc{Model: power.Cubic(), SMax: 1}, M: m}
+func BenchmarkExp(b *testing.B) {
+	for _, e := range exper.All() {
+		b.Run(e.ID, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := (multiproc.LTFRejectLS{}).Solve(in); err != nil {
+				tab, err := e.Run(exper.Options{Quick: true, Seed: int64(i) + 1})
+				if err != nil {
 					b.Fatal(err)
+				}
+				if len(tab.Rows) == 0 {
+					b.Fatal("no rows")
 				}
 			}
 		})
 	}
 }
 
-func BenchmarkMultiprocExhaustive(b *testing.B) {
-	set, err := gen.Frame(rand.New(rand.NewSource(42)), gen.Config{N: 10, Load: 3, Deadline: 1000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := multiproc.Instance{Tasks: set, Proc: speed.Proc{Model: power.Cubic(), SMax: 1}, M: 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (multiproc.Exhaustive{}).Solve(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchStorm builds one deterministic online arrival storm.
-func benchStorm(b *testing.B, n int, load, span float64) []online.Job {
-	b.Helper()
-	return online.RandomStorm(rand.New(rand.NewSource(42)), online.StormConfig{N: n, Load: load, Span: span})
-}
-
-func BenchmarkOnlineSimulate(b *testing.B) {
-	jobs := benchStorm(b, 64, 1.5, 0)
-	proc := speed.Proc{Model: power.Cubic(), SMax: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := online.Simulate(jobs, proc, online.MarginalCost{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDormantCompare(b *testing.B) {
-	// Light-load storm on a dormant-enable processor, the E14 regime;
-	// infeasible draws are redrawn exactly as the experiment does.
-	rng := rand.New(rand.NewSource(42))
-	proc := speed.Proc{Model: power.XScale(), SMax: 1, DormantEnable: true, Esw: 0.4}
-	var jobs []edf.Job
-	var horizon float64
-	for {
-		storm := online.RandomStorm(rng, online.StormConfig{N: 64, Load: 0.4, Span: 200})
-		jobs, horizon = jobs[:0], 0
-		for _, j := range storm {
-			jobs = append(jobs, edf.Job{TaskID: j.ID, Release: j.Arrival, Deadline: j.Deadline, Cycles: j.Cycles})
-			if j.Deadline > horizon {
-				horizon = j.Deadline
+// BenchmarkCore runs every case as a sub-benchmark named by its report
+// key, e.g. BenchmarkCore/SolverDP/n=10 or
+// BenchmarkCore/HeteroPartition/n=24/M=2.
+func BenchmarkCore(b *testing.B) {
+	for _, c := range benchcase.All() {
+		b.Run(c.Key(), func(b *testing.B) {
+			op, err := c.Setup()
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-		if _, _, err := dormant.Compare(jobs, 1, horizon, proc); err == nil {
-			break
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := dormant.Compare(jobs, 1, horizon, proc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEDFSimulate(b *testing.B) {
-	ps, err := gen.Periodic(rand.New(rand.NewSource(42)), gen.PeriodicConfig{N: 20, Utilization: 0.9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	l, err := ps.Hyperperiod()
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := edf.PeriodicJobs(ps, l)
-	profile := speed.Constant(0.95, 0, float64(l))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := edf.Simulate(jobs, profile)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Feasible() {
-			b.Fatal("infeasible bench schedule")
-		}
-	}
-}
-
-func BenchmarkSpeedAssignDiscrete(b *testing.B) {
-	proc := XScaleProcessor(true, 0.5)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := proc.Assign(float64(i%900)+1, 1000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvaluate(b *testing.B) {
-	in := benchInstance(b, 100, 1.2)
-	ids := make([]int, 0, 50)
-	for i := 0; i < 50; i++ {
-		ids = append(ids, in.Tasks.Tasks[i].ID)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Evaluate(in, ids); err != nil {
-			b.Fatal(err)
-		}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := op.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

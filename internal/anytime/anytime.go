@@ -31,6 +31,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -314,10 +315,12 @@ func newEnv(be *core.BatchEval, s Solver) *env {
 	for i := range e.rejOrder {
 		e.rejOrder[i] = i
 	}
-	sort.SliceStable(e.rejOrder, func(a, b int) bool {
-		pa, pb := e.rejOrder[a], e.rejOrder[b]
+	slices.SortStableFunc(e.rejOrder, func(a, b int) int {
 		// v/c ascending without the division: va·cb < vb·ca.
-		return e.colV[pa]*float64(e.colC[pb]) < e.colV[pb]*float64(e.colC[pa])
+		if e.colV[a]*float64(e.colC[b]) < e.colV[b]*float64(e.colC[a]) {
+			return -1
+		}
+		return 0
 	})
 	return e
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"dvsreject/internal/conc"
 )
@@ -34,8 +33,13 @@ func (GreedyDensity) Solve(in Instance) (Solution, error) {
 // context per solve.
 func greedyDensity(ctx *evalCtx) (Solution, error) {
 	its := slices.Clone(ctx.items)
-	sort.SliceStable(its, func(a, b int) bool {
-		return its[a].v*float64(its[b].c) > its[b].v*float64(its[a].c)
+	// The stable sort reorders only on a negative result, so ties keep
+	// input order.
+	slices.SortStableFunc(its, func(a, b item) int {
+		if a.v*float64(b.c) > b.v*float64(a.c) {
+			return -1
+		}
+		return 0
 	})
 
 	var accepted []int
@@ -192,8 +196,11 @@ func (AcceptAll) Solve(in Instance) (Solution, error) {
 	}
 	its := slices.Clone(ctx.items)
 	// Shed the cheapest penalty per freed cycle first.
-	sort.SliceStable(its, func(a, b int) bool {
-		return its[a].v*float64(its[b].c) < its[b].v*float64(its[a].c)
+	slices.SortStableFunc(its, func(a, b item) int {
+		if a.v*float64(b.c) < b.v*float64(a.c) {
+			return -1
+		}
+		return 0
 	})
 	wTrue := int64(0)
 	for _, it := range its {

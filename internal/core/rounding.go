@@ -1,9 +1,6 @@
 package core
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Rounding is the relaxation-and-round solver, the construction style of
 // the paper family's E-GREEDY/ROUNDING algorithms.
@@ -32,8 +29,11 @@ func (Rounding) Solve(in Instance) (Solution, error) {
 		return Solution{}, err
 	}
 	its := slices.Clone(ctx.items)
-	sort.SliceStable(its, func(a, b int) bool {
-		return its[a].v*its[b].ce > its[b].v*its[a].ce
+	slices.SortStableFunc(its, func(a, b item) int {
+		if a.v*b.ce > b.v*a.ce {
+			return -1
+		}
+		return 0
 	})
 
 	// Fractional scan.

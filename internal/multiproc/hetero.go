@@ -232,9 +232,13 @@ func densityOrder(tasks []task.Task) []int {
 	for i := range ord {
 		ord[i] = i
 	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		return tasks[ord[a]].Penalty*float64(tasks[ord[b]].Cycles) >
-			tasks[ord[b]].Penalty*float64(tasks[ord[a]].Cycles)
+	// The stable sort reorders only on a negative result, so ties keep
+	// input order.
+	slices.SortStableFunc(ord, func(a, b int) int {
+		if tasks[a].Penalty*float64(tasks[b].Cycles) > tasks[b].Penalty*float64(tasks[a].Cycles) {
+			return -1
+		}
+		return 0
 	})
 	return ord
 }
