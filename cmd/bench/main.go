@@ -74,7 +74,6 @@ var ratios = []struct{ label, cold, warm string }{
 	{"warm append speedup", "DPColdWide/n=1000", "DPWarmAppend/n=1000"},
 	{"warm modify speedup", "DPColdWide/n=1000", "DPWarmModify/n=1000"},
 	{"online replan speedup", "OnlineReplanCold/n=1000", "OnlineReplanIncremental/n=1000"},
-	{"serve delta speedup", "ServeColdSolve/n=1000", "ServeDeltaSolve/n=1000"},
 	{"sparse rows speedup", "DPSparseRegimeDense/n=28", "DPSparseRegimeSparse/n=28"},
 }
 

@@ -369,9 +369,9 @@ func run(o options, w io.Writer) (report, error) {
 	fmt.Fprintf(w, "%d requests in %.2fs (%.0f req/s), p50 %.1fµs p95 %.1fµs p99 %.1fµs, %d errors, %d mismatches, %d shed\n",
 		rep.Requests, rep.DurationS, rep.Throughput, rep.P50us, rep.P95us, rep.P99us, rep.Errors, rep.Mismatches, rep.Shed)
 	for _, sh := range rep.Shards {
-		fmt.Fprintf(w, "shard %s: %d reqs, %d hits / %d misses, %d delta, %d sparse, %d anytime, %d hetero, %d coalesced, %d warmed, %d repl sent / %d applied, %d wire solves\n",
+		fmt.Fprintf(w, "shard %s: %d reqs, %d hits / %d misses, %d sparse, %d anytime, %d hetero, %d coalesced, %d warmed, %d repl sent / %d applied, %d wire solves\n",
 			sh.Addr, sh.Stats.Engine.Requests, sh.Stats.Engine.Cache.Hits, sh.Stats.Engine.Cache.Misses,
-			sh.Stats.Engine.DeltaSolves, sh.Stats.Engine.SparseSolves, sh.Stats.Engine.AnytimeSolves,
+			sh.Stats.Engine.SparseSolves, sh.Stats.Engine.AnytimeSolves,
 			sh.Stats.Engine.HeteroSolves,
 			sh.Stats.Engine.Coalesced, sh.Stats.Engine.Warmed,
 			sh.Stats.ReplSent, sh.Stats.ReplApplied, sh.Stats.WireSolves)
@@ -821,8 +821,6 @@ func addStats(a, b serve.Stats) serve.Stats {
 	a.Coalesced += b.Coalesced
 	a.Bypasses += b.Bypasses
 	a.Warmed += b.Warmed
-	a.DeltaSolves += b.DeltaSolves
-	a.DeltaParents += b.DeltaParents
 	a.SparseSolves += b.SparseSolves
 	a.SparseCells += b.SparseCells
 	a.AnytimeSolves += b.AnytimeSolves

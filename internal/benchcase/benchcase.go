@@ -79,10 +79,9 @@ func contested(n int, load float64) (core.Instance, error) {
 // scan, reconstruction): the wider the grid, the more a full rebuild
 // costs and the more a delta re-solve saves. The narrow n=1000 grid caps
 // any warm/cold ratio near 4× on fixed cost alone; the wide shape is the
-// regime replanning and serve near-misses actually live in. FastPow is on
-// for the whole group (cold references included, so ratios stay
-// apples-to-apples): without it the final scan's math.Pow per grid cell
-// dominates every warm re-solve.
+// regime replanning actually lives in. FastPow is on for the whole group
+// (cold references included, so ratios stay apples-to-apples): without it
+// the final scan's math.Pow per grid cell dominates every warm re-solve.
 const wideDeadline = 8000
 
 func wide(n int) (core.Instance, error) {
@@ -186,10 +185,9 @@ func serveOp(eng *serve.Engine, run func() error) Op {
 	return Op{Run: run, Cache: func() cache.Stats { return eng.Stats().Cache }}
 }
 
-// serveCold re-solves req on an engine built from cfg and reset every
-// iteration.
-func serveCold(cfg serve.Config, req serve.Request) Op {
-	eng := serve.New(cfg)
+// serveCold re-solves req on an engine reset every iteration.
+func serveCold(req serve.Request) Op {
+	eng := serve.New(serve.Config{})
 	return serveOp(eng, func() error {
 		eng.Reset()
 		return eng.Solve(context.Background(), req).Err
@@ -202,20 +200,23 @@ func serveReq(in core.Instance, err error) (serve.Request, error) {
 	return serve.Request{Tasks: in.Tasks, Proc: in.Proc, Solver: "DP", FastPow: in.FastPow}, err
 }
 
-var deltaConfig = serve.Config{Shards: 1, EntriesPerShard: 64, DeltaStride: 8}
-
-// anytimeOp times 10 ms wall-budget anytime solves of in; its note is
-// headline applied to the last result.
+// anytimeOp times fixed-generation anytime solves of in (the
+// deterministic registry configuration, anytime.DefaultGenerations), so
+// the work per op follows the code, not the host's speed. Its note runs
+// one untimed 10 ms wall-budget solve and applies headline to it.
 func anytimeOp(in core.Instance, headline func(anytime.Result) string) Op {
-	s := anytime.Solver{Seed: 1, Budget: 10 * time.Millisecond}
-	var last anytime.Result
 	return Op{
 		Run: func() error {
-			var err error
-			last, err = s.SolveUntil(context.Background(), in)
+			_, err := anytime.Solver{Seed: 1}.SolveUntil(context.Background(), in)
 			return err
 		},
-		Note: func() string { return headline(last) },
+		Note: func() string {
+			res, err := anytime.Solver{Seed: 1, Budget: 10 * time.Millisecond}.SolveUntil(context.Background(), in)
+			if err != nil {
+				return fmt.Sprintf("anytime note: %v", err)
+			}
+			return headline(res)
+		},
 	}
 }
 
@@ -236,12 +237,13 @@ func All() []Case {
 		{"SolverGreedyMarginal", core.GreedyMarginal{}, []int{10, 100, 1000}},
 		{"SolverRounding", core.Rounding{}, []int{10, 100, 1000}},
 		{"SolverExhaustive", core.Exhaustive{Workers: 1}, []int{12, 16, 20}},
-		// Workers = 0 fans the subtree search out to GOMAXPROCS workers.
-		{"SolverExhaustiveParallel", core.Exhaustive{}, []int{16, 20}},
+		// Two workers, pinned: cmd/bench records at GOMAXPROCS=1, where
+		// Workers = 0 would take the serial path a second time.
+		{"SolverExhaustiveParallel", core.Exhaustive{Workers: 2}, []int{16, 20}},
 		{"SolverRandomAdmission", core.RandomAdmission{Seed: 1, Restarts: 32, Workers: 1}, []int{100, 1000}},
-		// The restarts on a GOMAXPROCS-wide pool; the result is identical
-		// to the serial run for the same seed.
-		{"SolverRandomAdmissionParallel", core.RandomAdmission{Seed: 1, Restarts: 32}, []int{100, 1000}},
+		// The restarts on a two-worker pool, pinned like the row above; the
+		// result is identical to the serial run for the same seed.
+		{"SolverRandomAdmissionParallel", core.RandomAdmission{Seed: 1, Restarts: 32, Workers: 2}, []int{100, 1000}},
 	} {
 		for _, n := range r.sizes {
 			add(r.name, n, 0, func() (Op, error) {
@@ -345,7 +347,7 @@ func All() []Case {
 	// every iteration), a warm cache hit, and a steady-state batch.
 	add("ServeColdSolve", 100, 0, func() (Op, error) {
 		req, err := serveReq(contested(100, 1.5))
-		return serveCold(serve.Config{}, req), err
+		return serveCold(req), err
 	})
 	add("ServeWarmHit", 100, 0, func() (Op, error) {
 		req, err := serveReq(contested(100, 1.5))
@@ -404,47 +406,11 @@ func All() []Case {
 	})
 	add("OnlineReplanIncremental", 1000, 0, func() (Op, error) { return replan(false) })
 	add("OnlineReplanCold", 1000, 0, func() (Op, error) { return replan(true) })
-	// The serve delta path at n=1000: every iteration is a unique near-miss
-	// mutant — a fingerprint miss by construction — served by a warm start
-	// from the resident parent state. The same-size cold row resets the
-	// engine (plan cache and similarity index) every iteration.
+	// A serve cache miss on the wide n=1000 grid: the engine is reset every
+	// iteration, so each one is a full DP solve behind the engine.
 	add("ServeColdSolve", 1000, 0, func() (Op, error) {
 		req, err := serveReq(wide(1000))
-		return serveCold(deltaConfig, req), err
-	})
-	add("ServeDeltaSolve", 1000, 0, func() (Op, error) {
-		req, err := serveReq(wide(1000))
-		if err != nil {
-			return Op{}, err
-		}
-		ctx := context.Background()
-		eng := serve.New(deltaConfig)
-		if err := eng.Solve(ctx, req).Err; err != nil {
-			return Op{}, fmt.Errorf("prewarm: %v", err)
-		}
-		base := req.Tasks.Tasks
-		iter := 0
-		run := func() error {
-			iter++
-			ts := append([]task.Task(nil), base...)
-			ts[len(ts)-2].Penalty += 1e-9 * float64(iter)
-			mut := req
-			mut.Tasks.Tasks = ts
-			r := eng.Solve(ctx, mut)
-			if r.Err == nil && r.CacheHit {
-				return fmt.Errorf("mutant hit the exact cache")
-			}
-			return r.Err
-		}
-		// One probe confirms the mutants actually ride the delta path
-		// before anything is measured.
-		if err := run(); err != nil {
-			return Op{}, err
-		}
-		if eng.Stats().DeltaSolves == 0 {
-			return Op{}, fmt.Errorf("probe mutant was not delta-solved")
-		}
-		return serveOp(eng, run), nil
+		return serveCold(req), err
 	})
 	// The sparse-regime pair: one pairwise-coprime instance on a 2^22-wide
 	// grid, solved by the dense kernel (admitted, but ~66M grid cells) and
@@ -464,8 +430,8 @@ func All() []Case {
 		return solve(core.DP{}.Solve, in), err
 	})
 	// The anytime tier (internal/anytime): the raw SoA fitness kernel (64
-	// genomes × 1024 tasks, the zero-alloc claim), the 10 ms wall-budget
-	// solve on the DP n=1000 instance and the beyond-wall n=40 instance.
+	// genomes × 1024 tasks, the zero-alloc claim), and fixed-generation
+	// solves of the DP n=1000 instance and the beyond-wall n=40 instance.
 	add("AnytimeFitness1024", 1024, 0, func() (Op, error) {
 		const n, pop = 1024, 64
 		stride := (n + 63) / 64
@@ -487,7 +453,7 @@ func All() []Case {
 			return nil
 		}}, nil
 	})
-	add("AnytimeFront10ms", 1000, 0, func() (Op, error) {
+	add("AnytimeFront", 1000, 0, func() (Op, error) {
 		in, err := contested(1000, 1.5)
 		if err != nil {
 			return Op{}, err

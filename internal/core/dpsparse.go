@@ -105,11 +105,6 @@ func (r *sparseRows) take(i, k int) bool {
 	return r.bits[r.bitOff[i]+int64(k>>6)]&(1<<uint(k&63)) != 0
 }
 
-// memoryBytes is the record's retained heap.
-func (r *sparseRows) memoryBytes() int64 {
-	return int64(len(r.ws))*8 + int64(len(r.bits))*8 + int64(len(r.off))*8 + int64(len(r.bitOff))*8
-}
-
 // sparseStep folds one item into the sparse row (prevW, prevF), appending
 // the produced row to rows with buf as the value buffer. It returns the
 // new row views, the (possibly regrown) buffer, and the cell count — -1

@@ -71,32 +71,6 @@ func (st *DPState) GridCapacity() int64 { return st.cap64 }
 // Reset invalidates the state, keeping its buffers for reuse.
 func (st *DPState) Reset() { st.valid = false }
 
-// AppendSnapshotRows appends the checkpointed row numbers in ascending
-// order — the prefix lengths a warm solve can restart from with zero
-// replay. The serve-layer similarity index registers its hash-chain keys
-// at exactly these rows.
-func (st *DPState) AppendSnapshotRows(buf []int) []int {
-	for _, s := range st.snaps {
-		buf = append(buf, s.row)
-	}
-	return buf
-}
-
-// MemoryBytes estimates the state's retained heap: the take bits, the
-// snapshots and the item copy. Cache budgets evict on it.
-func (st *DPState) MemoryBytes() int64 {
-	b := int64(len(st.items)) * 32
-	if st.sparse {
-		b += st.sp.memoryBytes()
-	} else {
-		b += int64(len(st.words)) * 8
-	}
-	for _, s := range st.snaps {
-		b += int64(len(s.ws)+len(s.f)) * 8
-	}
-	return b
-}
-
 // begin resets the state for a fresh recording of n rows, keeping
 // backing arrays; the solver writes the take bits in place as it runs.
 func (st *DPState) begin(cap64 int64, stride, n int, sparse, pruned bool) {

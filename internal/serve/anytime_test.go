@@ -108,14 +108,12 @@ func TestAnytimeStateBudgetFallback(t *testing.T) {
 	set := hardSparseSet(26)
 	req := Request{Tasks: set, Proc: testProcs["ideal"], Solver: "DP"}
 
-	// DisableDelta keeps the exact attempts cheap — the budget error is
-	// the same either way, and the armed engine retries it once.
-	plain := New(Config{DisableDelta: true})
+	plain := New(Config{})
 	if resp := plain.Solve(context.Background(), req); !errors.Is(resp.Err, core.ErrStateBudget) {
 		t.Fatalf("plain engine: want ErrStateBudget, got %v", resp.Err)
 	}
 
-	armed := New(Config{DisableDelta: true, AnytimeBudget: 50 * time.Millisecond})
+	armed := New(Config{AnytimeBudget: 50 * time.Millisecond})
 	resp := armed.Solve(context.Background(), req)
 	checkAnytimeResponse(t, req, resp)
 	if resp.Gap < 0 || resp.Gap > 0.5 {

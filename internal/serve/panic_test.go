@@ -25,8 +25,8 @@ func (p panicSolver) Solve(core.Instance) (core.Solution, error) {
 
 // TestSolverPanicContained: a panicking solver costs its request an
 // ErrSolverPanic error and nothing more. The engine keeps serving, keeps
-// no cache entry, replication push or delta parent of the run, and a
-// repeat request runs the solver again.
+// no cache entry or replication push of the run, and a repeat request
+// runs the solver again.
 func TestSolverPanicContained(t *testing.T) {
 	var calls, pushes atomic.Int64
 	core.RegisterSolver("PANIC-TEST", func(core.SolverSpec) (core.Solver, error) { return panicSolver{&calls}, nil })
@@ -44,9 +44,9 @@ func TestSolverPanicContained(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if st.Panics != 2 || st.Cache.Entries != 0 || st.DeltaParents != 0 || pushes.Load() != 0 {
-		t.Fatalf("after two panics: panics %d, cache entries %d, delta parents %d, pushes %d; want 2, 0, 0, 0",
-			st.Panics, st.Cache.Entries, st.DeltaParents, pushes.Load())
+	if st.Panics != 2 || st.Cache.Entries != 0 || pushes.Load() != 0 {
+		t.Fatalf("after two panics: panics %d, cache entries %d, pushes %d; want 2, 0, 0",
+			st.Panics, st.Cache.Entries, pushes.Load())
 	}
 	if resp := e.Solve(ctx, good); resp.Err != nil {
 		t.Fatalf("engine stopped serving after a panic: %v", resp.Err)

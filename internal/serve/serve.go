@@ -60,18 +60,6 @@ type Config struct {
 	// so the callback may retain it. It runs on the solving goroutine —
 	// keep it cheap (enqueue, don't send).
 	OnColdSolve func(req Request, sol core.Solution)
-	// DisableDelta turns off the structural similarity index (delta.go):
-	// every cache miss cold-solves. Results are never affected either
-	// way — the delta path is bit-identical by construction.
-	DisableDelta bool
-	// DeltaParents bounds the similarity index's resident DPState count;
-	// 0 means 16.
-	DeltaParents int
-	// DeltaBytes bounds the index's retained state memory; 0 means 64 MiB.
-	DeltaBytes int64
-	// DeltaStride is the DP checkpoint interval recorded for warm starts;
-	// 0 means core.DefaultCheckpointStride.
-	DeltaStride int
 	// AnytimeBudget, when > 0, arms the anytime Pareto fallback tier for
 	// exact-DP requests: a solve whose predicted cost exceeds its Timeout
 	// (see EstimateCost), or that dies on the DP state budget, is answered
@@ -173,13 +161,11 @@ type Stats struct {
 	// Warmed counts cache entries installed by Warm — solutions pushed in
 	// from a peer's cold solve rather than computed here.
 	Warmed uint64 `json:"warmed"`
-	// DeltaSolves counts cache misses served by a warm-start delta solve
-	// from a structurally similar parent instead of a cold DP run.
+	// DeltaSolves is always 0: every DP cache miss is one cold solve. The
+	// field stays so that readers of delta_solves keep decoding.
 	DeltaSolves uint64 `json:"delta_solves"`
-	// DeltaParents is the similarity index's resident parent-state count.
-	DeltaParents int `json:"delta_parents"`
-	// SparseSolves counts DP runs (cold, checkpointed, or warm) that used
-	// the sparse row representation for at least one row.
+	// SparseSolves counts DP runs that used the sparse row representation
+	// for at least one row.
 	SparseSolves uint64 `json:"sparse_solves"`
 	// SparseCells totals the breakpoints stored across those sparse rows —
 	// the sparse analogue of dense grid cells, for capacity planning.
@@ -285,14 +271,11 @@ type Engine struct {
 	cfg   Config
 	cache *cache.Sharded[entry]
 	group cache.Group[entry]
-	delta *deltaIndex // nil when DisableDelta
 
-	requests    atomic.Uint64
-	coalesced   atomic.Uint64
-	bypasses    atomic.Uint64
-	warmed      atomic.Uint64
-	deltaSolves atomic.Uint64
-
+	requests      atomic.Uint64
+	coalesced     atomic.Uint64
+	bypasses      atomic.Uint64
+	warmed        atomic.Uint64
 	sparseSolves  atomic.Uint64
 	sparseCells   atomic.Uint64
 	anytimeSolves atomic.Uint64
@@ -302,20 +285,22 @@ type Engine struct {
 
 // ErrSolverPanic is wrapped by the error of a request whose solver
 // panicked. The engine recovers and keeps nothing of that run: no cache
-// entry, replication push or delta parent, so a repeat runs it again.
+// entry or replication push, so a repeat runs it again.
 var ErrSolverPanic = errors.New("serve: solver panicked")
+
+// jumboTasks is the request size past which the engine purges the core
+// solver pools after solving: one n≥10⁴ request grows the pooled DP rows
+// and eval contexts to megabytes, and without the purge every later small
+// solve drags them through GC cycles.
+const jumboTasks = 10000
 
 // New builds an engine from cfg (zero value fine, see Config).
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{
+	return &Engine{
 		cfg:   cfg,
 		cache: cache.NewSharded[entry](cfg.Shards, cfg.EntriesPerShard),
 	}
-	if !cfg.DisableDelta {
-		e.delta = newDeltaIndex(cfg.DeltaParents, cfg.DeltaBytes)
-	}
-	return e
 }
 
 // Solve answers one request, consulting the plan cache and collapsing
@@ -479,11 +464,11 @@ func (e *Engine) solveOne(ctx context.Context, req Request, pp *core.ProcProfile
 }
 
 // run resolves the solver and executes it, attaching the precomputed
-// processor profile when one is available. DP solves route through the
-// delta path; jumbo requests purge the core scratch pools afterwards so
-// one huge solve stops taxing the small ones that follow. Every flight and
-// every bypass solve comes through here, so this is where a solver panic
-// turns into an ErrSolverPanic error instead of killing the process.
+// processor profile when one is available. Jumbo requests purge the core
+// scratch pools afterwards so one huge solve stops taxing the small ones
+// that follow. Every flight and every bypass solve comes through here, so
+// this is where a solver panic turns into an ErrSolverPanic error instead
+// of killing the process.
 func (e *Engine) run(req Request, pp *core.ProcProfile) (sol core.Solution, an anytimeNote, hi *HeteroInfo, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -519,15 +504,10 @@ func (e *Engine) runSolver(req Request, pp *core.ProcProfile) (core.Solution, an
 		return core.Solution{}, anytimeNote{}, nil, err
 	}
 	if dp, ok := solver.(core.DP); ok {
-		var sol core.Solution
-		if e.delta != nil {
-			sol, err = e.deltaSolve(dp, req, in)
-		} else {
-			var stats core.DPStats
-			sol, stats, err = dp.SolveStats(in)
-			if err == nil {
-				e.noteDPStats(stats)
-			}
+		sol, stats, err := dp.SolveStats(in)
+		if err == nil && stats.SparseCells > 0 {
+			e.sparseSolves.Add(1)
+			e.sparseCells.Add(uint64(stats.SparseCells))
 		}
 		if err != nil && e.anytimeFallback(req, err) {
 			if asol, an, aerr := e.anytimeSolve(req, in); aerr == nil {
@@ -628,48 +608,6 @@ func (e *Engine) anytimeSolve(req Request, in core.Instance) (core.Solution, any
 	return res.Best, anytimeNote{used: true, gap: gap}, nil
 }
 
-// noteDPStats folds one DP run's row statistics into the engine counters.
-func (e *Engine) noteDPStats(st core.DPStats) {
-	if st.SparseCells > 0 {
-		e.sparseSolves.Add(1)
-		e.sparseCells.Add(uint64(st.SparseCells))
-	}
-}
-
-// deltaSolve is the DP route: try a warm start from a structurally
-// similar solved parent; otherwise cold-solve with checkpoint recording
-// and register the state as a parent for future near-misses.
-func (e *Engine) deltaSolve(dp core.DP, req Request, in core.Instance) (core.Solution, error) {
-	stride := e.cfg.DeltaStride
-	if stride <= 0 {
-		stride = core.DefaultCheckpointStride
-	}
-	dp.CheckpointStride = stride
-	cap64 := core.DPGridCapacity(in)
-	chain := deltaChain(nil, req.Tasks.Tasks, cap64)
-	if parent := e.delta.lookup(cap64, chain, stride); parent != nil {
-		sol, stats, ok, err := dp.SolveFrom(parent, in, false)
-		if err != nil {
-			// The same failure a cold solve reports (validation, hetero,
-			// state limit) — don't solve twice to report it twice.
-			return core.Solution{}, err
-		}
-		if ok {
-			e.deltaSolves.Add(1)
-			e.noteDPStats(stats)
-			return sol, nil
-		}
-	}
-	st := &core.DPState{}
-	sol, stats, err := dp.SolveCheckpoint(in, st)
-	if err != nil {
-		return core.Solution{}, err
-	}
-	e.noteDPStats(stats)
-	e.delta.register(st, cap64, chain)
-	return sol, nil
-}
-
 // Warm installs a solved entry pushed from a peer — the warm-cache
 // replication path. The pair must come from a bit-exact solver run (the
 // wire codec preserves every bit); the usual sameRequest verification
@@ -701,8 +639,6 @@ func (e *Engine) Stats() Stats {
 		Coalesced:     e.coalesced.Load(),
 		Bypasses:      e.bypasses.Load(),
 		Warmed:        e.warmed.Load(),
-		DeltaSolves:   e.deltaSolves.Load(),
-		DeltaParents:  e.delta.parents(),
 		SparseSolves:  e.sparseSolves.Load(),
 		SparseCells:   e.sparseCells.Load(),
 		AnytimeSolves: e.anytimeSolves.Load(),
@@ -712,13 +648,9 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Reset empties the plan cache and the similarity index (counters are
-// preserved). Benchmarks use it to measure cold solves — clearing the
-// index too keeps them honest, or a "cold" run would be delta-warmed.
-func (e *Engine) Reset() {
-	e.cache.Clear()
-	e.delta.clear()
-}
+// Reset empties the plan cache (counters are preserved). Benchmarks use
+// it to measure cold solves.
+func (e *Engine) Reset() { e.cache.Clear() }
 
 // cloneRequest deep-copies the request's slices so a flight never aliases
 // caller memory.
