@@ -131,6 +131,12 @@ func readReport(path string) (report, error) {
 	return rep, nil
 }
 
+// minTimedRuns is the fewest iterations a case is timed over.
+// testing.Benchmark times an op slower than -benchtime exactly once, so at
+// a short -benchtime a slow case would be one call, set against a
+// baseline that averaged many warm calls at 1 s.
+const minTimedRuns = 3
+
 // measure sets c up and times it, returning its result and its headline
 // note. The workload is unreachable once measure returns.
 func measure(c benchcase.Case) (result, string, error) {
@@ -138,8 +144,13 @@ func measure(c benchcase.Case) (result, string, error) {
 	if err != nil {
 		return result{}, "", err
 	}
+	// One untimed run grows the scratch pools and warms the caches, so no
+	// case is timed on its first call after Setup.
+	if err := op.Run(); err != nil {
+		return result{}, "", err
+	}
 	var runErr error
-	r := testing.Benchmark(func(b *testing.B) {
+	bench := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := op.Run(); err != nil {
@@ -147,7 +158,16 @@ func measure(c benchcase.Case) (result, string, error) {
 				b.FailNow()
 			}
 		}
-	})
+	}
+	r := testing.Benchmark(bench)
+	if runErr == nil && r.N < minTimedRuns {
+		if r, err = benchmarkRuns(bench, minTimedRuns); err != nil {
+			return result{}, "", err
+		}
+	}
+	if runErr != nil {
+		return result{}, "", runErr
+	}
 	res := result{
 		Name:        c.Name,
 		N:           c.N,
@@ -156,19 +176,6 @@ func measure(c benchcase.Case) (result, string, error) {
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
-	}
-	// An op slower than -benchtime is timed once or twice, mostly on cold
-	// scratch pools; count its allocations over warm runs instead
-	// (AllocsPerRun warms up once, and runs at GOMAXPROCS 1).
-	if runErr == nil && r.N < 3 {
-		res.AllocsPerOp = int64(testing.AllocsPerRun(3, func() {
-			if err := op.Run(); err != nil {
-				runErr = err
-			}
-		}))
-	}
-	if runErr != nil {
-		return result{}, "", runErr
 	}
 	if op.Cache != nil {
 		st := op.Cache()
@@ -179,6 +186,18 @@ func measure(c benchcase.Case) (result, string, error) {
 		note = op.Note()
 	}
 	return res, note, nil
+}
+
+// benchmarkRuns is testing.Benchmark at -benchtime nx: one untimed call,
+// then n timed ones, whose time and allocations make the result.
+func benchmarkRuns(f func(*testing.B), n int) (testing.BenchmarkResult, error) {
+	bt := flag.Lookup("test.benchtime").Value
+	prev := bt.String()
+	if err := bt.Set(fmt.Sprintf("%dx", n)); err != nil {
+		return testing.BenchmarkResult{}, err
+	}
+	defer bt.Set(prev)
+	return testing.Benchmark(f), nil
 }
 
 func main() { os.Exit(run()) }

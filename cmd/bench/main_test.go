@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dvsreject/internal/benchcase"
 )
@@ -91,5 +93,36 @@ func TestCompareReports(t *testing.T) {
 	// The allocs gate is off at -max-allocs-regress 0.
 	if got := compareReports(&out, "base.json", base, fresh, 100, 0); !slices.Equal(got, []string{"Slow/n=10"}) {
 		t.Errorf("with the allocs gate off, regressed = %q, want [Slow/n=10]", got)
+	}
+}
+
+// TestMeasureSlowCase: at -benchtime 20ms a 30 ms op is timed over
+// minTimedRuns calls after an untimed warm-up, not once on its first call.
+func TestMeasureSlowCase(t *testing.T) {
+	bt := flag.Lookup("test.benchtime").Value
+	prev := bt.String()
+	if err := bt.Set("20ms"); err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Set(prev)
+	calls := 0
+	c := benchcase.Case{Name: "Slow", N: 1, Setup: func() (benchcase.Op, error) {
+		return benchcase.Op{Run: func() error {
+			calls++
+			time.Sleep(30 * time.Millisecond)
+			return nil
+		}}, nil
+	}}
+	res, _, err := measure(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations != minTimedRuns || res.NsPerOp < 30e6 {
+		t.Errorf("timed %d iterations at %.0f ns/op, want %d at ≥ 30 ms", res.Iterations, res.NsPerOp, minTimedRuns)
+	}
+	// The warm-up, the one-call first attempt, and the nx run's untimed
+	// call before its timed ones.
+	if want := 3 + minTimedRuns; calls != want {
+		t.Errorf("op ran %d times, want %d", calls, want)
 	}
 }

@@ -300,7 +300,7 @@ func (r *dpRun) fold(sc *dpScratch, from dpSnap) (ws []int64, f []float64, err e
 			if k < 0 || r.spent > r.limit {
 				return nil, nil, sparseBudgetErr(r.limit, i+1, n)
 			}
-			if r.rec == nil && start == 0 && i+1 < n && int64(len(ws))*8 > width && int64(n-i-1)*width <= r.denseLimit {
+			if r.rec == nil && start == 0 && i+1 < n && r.switchesDense(len(ws), n-i-1) {
 				sparse = false
 				r.lo = r.hi
 				r.record(sc, i+1, false)
@@ -328,6 +328,14 @@ func (r *dpRun) fold(sc *dpScratch, from dpSnap) (ws []int64, f []float64, err e
 		}
 	}
 	return ws, f, nil
+}
+
+// switchesDense is the adaptive switchover's test on a sparse row of k
+// breakpoints with left rows still to fold: past 1/8 occupancy of the
+// grid, and the rest of the table fits the dense budget.
+func (r *dpRun) switchesDense(k, left int) bool {
+	width := r.cap64 + 1
+	return int64(k)*8 > width && int64(left)*width <= r.denseLimit
 }
 
 // record points r.hi at zeroed take bits for rows [start, n): the

@@ -62,9 +62,10 @@ func TestDPSolveAllocs(t *testing.T) {
 	}
 }
 
-// TestSubsetDPCostAllocs pins a warm SubsetDP.Cost at zero allocations:
-// the row record, value buffers, gathered items and energy memo all live
-// on the SubsetDP.
+// TestSubsetDPCostAllocs pins a warm SubsetDP.Cost, and a warm Fold
+// followed by a CostAppend on the kept row, at zero allocations: the row
+// record, value buffers, gathered items, kept rows and energy memo all
+// live on the SubsetDP.
 func TestSubsetDPCostAllocs(t *testing.T) {
 	in := cubicInstance(
 		task.Task{ID: 1, Cycles: 4, Penalty: 1},
@@ -87,6 +88,20 @@ func TestSubsetDPCostAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("%v allocs per warm Cost, want 0", avg)
+	}
+	row := &s.Rows(1)[0]
+	if _, err := s.Fold(row, idx[:2]); err != nil || !row.kept {
+		t.Fatalf("Fold(%v): kept %v, %v; want a kept row", idx[:2], row.kept, err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := s.Fold(row, idx[:2]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CostAppend(row, idx[2]); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("%v allocs per warm Fold + CostAppend, want 0", avg)
 	}
 
 	// A probe whose rows switch to the dense kernel finishes on dense rows

@@ -57,6 +57,10 @@ var evalScratchPool = newPoolPtr(func() any { return &evalScratch{} })
 // map) for the solvers that release them.
 var ctxPool = newPoolPtr(func() any { return &evalCtx{} })
 
+// subsetPool recycles SubsetDPs — context, scratch, memo and kept rows —
+// across NewSubsetDP and Release.
+var subsetPool = newPoolPtr(func() any { return &SubsetDP{} })
+
 func newPoolPtr(newFn func() any) *atomic.Pointer[sync.Pool] {
 	p := &atomic.Pointer[sync.Pool]{}
 	p.Store(&sync.Pool{New: newFn})
@@ -64,7 +68,8 @@ func newPoolPtr(newFn func() any) *atomic.Pointer[sync.Pool] {
 }
 
 // PurgeSolverScratch detaches every pooled solver buffer — DP rows and
-// bitsets, evaluation contexts, evaluate scratch — so the next GC frees
+// bitsets, evaluation contexts, evaluate scratch, SubsetDPs and their
+// kept rows — so the next GC frees
 // them. One n=10⁵ solve grows the pooled buffers to match and they stay
 // that size for every later solve; long-lived callers (the serve engine
 // after a jumbo request) purge so one large instance stops taxing the
@@ -74,6 +79,7 @@ func PurgeSolverScratch() {
 	dpScratchPool.Store(&sync.Pool{New: func() any { return &dpScratch{} }})
 	evalScratchPool.Store(&sync.Pool{New: func() any { return &evalScratch{} }})
 	ctxPool.Store(&sync.Pool{New: func() any { return &evalCtx{} }})
+	subsetPool.Store(&sync.Pool{New: func() any { return &SubsetDP{} }})
 }
 
 // growF64 returns a length-n slice reusing buf's backing when it is large

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dvsreject/internal/gen"
@@ -27,7 +28,11 @@ func subsetOf(in Instance, idx []int) Instance {
 // the whole set cost exactly what DP-SPARSE returns on the materialized
 // subset — the same cost bits and the same error text — including probes
 // past a small breakpoint budget and grids whose rows switch to the dense
-// kernel. It also counts that both cases were reached.
+// kernel. Every probe idx is priced a second time as Fold(idx[:k-1])
+// followed by CostAppend(idx[k-1]), and repeated-index probes join in.
+// It counts that both cases were reached, and that each way CostAppend
+// declines the kept row ran: an appended row past the budget, a prefix
+// row past the dense occupancy, a repeated index and the empty prefix.
 func TestSubsetDPMatchesSolve(t *testing.T) {
 	flavours := []struct {
 		name string
@@ -49,6 +54,7 @@ func TestSubsetDPMatchesSolve(t *testing.T) {
 		{12, 20000, 1.3}, // workloads past the energy memo's slot count
 	}
 	var budgetHits, switchovers, probes int
+	var appended, overflows, densePrefixes, repeats, emptyPrefixes int
 	rng := rand.New(rand.NewSource(17))
 	for _, fl := range flavours {
 		for gi, g := range grids {
@@ -65,10 +71,10 @@ func TestSubsetDPMatchesSolve(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%d: %v", fl.name, gi, err)
 				}
+				row := &s.Rows(1)[0]
 				check := func(idx []int) {
 					t.Helper()
 					probes++
-					got, gotErr := s.Cost(idx)
 					want, st, wantErr := dp.SolveStats(subsetOf(in, idx))
 					if st.DenseRows > 0 {
 						switchovers++
@@ -76,12 +82,35 @@ func TestSubsetDPMatchesSolve(t *testing.T) {
 					if errors.Is(wantErr, ErrStateBudget) {
 						budgetHits++
 					}
-					if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-						t.Fatalf("%s/%d MaxStates=%d %v: error %v, Solve %v", fl.name, gi, maxStates, idx, gotErr, wantErr)
+					same := func(how string, got float64, gotErr error) {
+						t.Helper()
+						if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+							t.Fatalf("%s/%d MaxStates=%d %v %s: error %v, Solve %v", fl.name, gi, maxStates, idx, how, gotErr, wantErr)
+						}
+						if math.Float64bits(got) != math.Float64bits(want.Cost) {
+							t.Fatalf("%s/%d MaxStates=%d %v %s: cost %v, Solve %v", fl.name, gi, maxStates, idx, how, got, want.Cost)
+						}
 					}
-					if math.Float64bits(got) != math.Float64bits(want.Cost) {
-						t.Fatalf("%s/%d MaxStates=%d %v: cost %v, Solve %v", fl.name, gi, maxStates, idx, got, want.Cost)
+					got, gotErr := s.Cost(idx)
+					same("Cost", got, gotErr)
+
+					k := len(idx)
+					prefix, last := idx[:k-1], idx[k-1]
+					_, prefixErr := s.Fold(row, prefix)
+					switch {
+					case k == 1:
+						emptyPrefixes++
+					case !row.kept && prefixErr == nil:
+						densePrefixes++
+					case row.kept && slices.Contains(prefix, last):
+						repeats++
+					case row.kept && errors.Is(wantErr, ErrStateBudget):
+						overflows++
+					case row.kept:
+						appended++
 					}
+					got, gotErr = s.CostAppend(row, last)
+					same("Fold+CostAppend", got, gotErr)
 				}
 				all := make([]int, g.n)
 				for i := range all {
@@ -93,7 +122,11 @@ func TestSubsetDPMatchesSolve(t *testing.T) {
 				}
 				for trial := 0; trial < 40; trial++ {
 					perm := rng.Perm(g.n)
-					check(perm[:1+rng.Intn(g.n)])
+					sub := perm[:1+rng.Intn(g.n)]
+					check(sub)
+					if trial%4 == 0 {
+						check(append(sub[:len(sub):len(sub)], sub[rng.Intn(len(sub))]))
+					}
 				}
 			}
 		}
@@ -101,6 +134,12 @@ func TestSubsetDPMatchesSolve(t *testing.T) {
 	t.Logf("%d probes: %d past the breakpoint budget, %d dense switchovers", probes, budgetHits, switchovers)
 	if budgetHits == 0 || switchovers == 0 {
 		t.Errorf("over %d probes: %d past the breakpoint budget, %d dense switchovers; want both > 0", probes, budgetHits, switchovers)
+	}
+	t.Logf("appends: %d on a kept row; declined: %d appended rows past the budget, %d dense prefixes, %d repeated indexes, %d empty prefixes",
+		appended, overflows, densePrefixes, repeats, emptyPrefixes)
+	if appended == 0 || overflows == 0 || densePrefixes == 0 || repeats == 0 || emptyPrefixes == 0 {
+		t.Errorf("appends: %d on a kept row, %d past the budget, %d dense prefixes, %d repeated indexes, %d empty prefixes; want all > 0",
+			appended, overflows, densePrefixes, repeats, emptyPrefixes)
 	}
 }
 

@@ -729,7 +729,17 @@ func (s *heteroSearcher) finish() (Solution, int64, error) {
 // core.SubsetDP on sparse rows (core.SparseOn; one per distinct profile,
 // validated once per solve): a probe owns a handful of tasks and reaches
 // only a few dozen workloads, the sparse kernel returns the dense
-// kernel's bits, and the refinement reads only the optimal cost. Accept
+// kernel's bits, and the refinement reads only the optimal cost. A probe
+// that extends a list by one task — a migration's target, either half of
+// a swap — folds just that task's row onto the list's kept last row
+// (core.SubsetDP.Fold and CostAppend): each processor keeps its whole
+// list's row and, while the swap pass runs (n ≤ heteroSwapLimit), each
+// task its owner's list without it, with that list's cost. A kept row or
+// cost is valid until an applied move touches its processor. The rows of
+// one profile hold at most the probe budget (MaxStates, else
+// core.DefaultMaxSparseCells) of breakpoints — the memory one cold probe
+// may already use — and past it probes price cold. Every cost and error
+// equals a cold probe's, so answers do not depend on the reuse. Accept
 // sets are solved only where they are used — seed C's cascade and the
 // winning seed's final lists. The move search stops at a fixed point — a
 // full pass of probes since the last applied move — or after MaxPasses
@@ -766,10 +776,17 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 
 	// One core.SubsetDP per distinct profile prices that group's probes:
 	// the instance is validated and its evaluation context built once, and
-	// a probe returns only the DP's optimal cost. Empty ownership
-	// short-circuits to the idle energy.
+	// a probe returns only the DP's optimal cost. An empty list costs the
+	// idle energy.
 	dp := core.DP{MaxStates: h.MaxStates, Sparse: core.SparseOn}
 	probes := make([]*core.SubsetDP, mCount)
+	defer func() {
+		for m, s := range probes {
+			if s != nil && c.typeOf[m] == m {
+				s.Release()
+			}
+		}
+	}()
 	for m := range probes {
 		if g := c.typeOf[m]; g != m {
 			probes[m] = probes[g]
@@ -784,12 +801,6 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 			return Solution{}, err
 		}
 		probes[m] = s
-	}
-	costProc := func(m int, owned []int) (float64, error) {
-		if len(owned) == 0 {
-			return c.energyAt(m, 0), nil
-		}
-		return probes[m].Cost(owned)
 	}
 
 	n := len(tasks)
@@ -816,14 +827,43 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 	// positions has run since the last applied move, every later probe
 	// repeats one already made: refinement stops at that fixed point, or
 	// after MaxPasses passes.
+	//
+	// Every probe but a list's own price extends a list by one task: a
+	// migration's target is the target's list plus the task, each half of
+	// a swap is a list without tᵢ plus tⱼ. So refine keeps those lists'
+	// last DP rows (core.SubsetDP.Fold) and prices each probe by folding
+	// the one appended row (CostAppend). Each processor keeps a row for its
+	// whole list; while the swap pass runs, each task also keeps one for
+	// its owner's list without it, with that list's cost. An applied move
+	// gives the two processors it touches a fresh version, and a row or
+	// cost folded at an older version is folded again where it is next
+	// used. A list refine folds only to extend is one no probe priced, so
+	// an error there is dropped: the append then prices cold and reports
+	// the probe's own error.
 	passes := h.MaxPasses
 	if passes == 0 {
 		passes = 4
 	}
 	doSwaps := n <= heteroSwapLimit
 	cycle := n
+	nRows := mCount // rows per profile: one per processor's list…
 	if doSwaps {
 		cycle += n * (n - 1) / 2
+		nRows += n // …and one per task's "owner's list without it"
+	}
+	rows := make([][]core.SubsetRow, mCount) // by profile leader
+	ver := make([]int64, mCount)             // per processor: its list's version
+	rowVer := make([]int64, mCount)          // the version its list's row was folded at
+	type priced struct {
+		ver  int64 // the owner's version it was priced at; 0 is none
+		cost float64
+		err  error
+	}
+	withouts := make([]priced, n) // per task: its owner's list without it
+	version := int64(0)
+	bump := func(m int) {
+		version++
+		ver[m] = version
 	}
 	refine := func(owner []int) ([][]int, float64, error) {
 		// The ownership lists live in one arena of M+2 segments of n
@@ -842,13 +882,56 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 		for ti, m := range owner {
 			owned[m] = append(owned[m], ti)
 		}
+		for g, s := range probes {
+			if c.typeOf[g] == g {
+				rows[g] = s.Rows(nRows)
+			}
+		}
 		costs := make([]float64, mCount)
 		for m := 0; m < mCount; m++ {
-			cost, err := costProc(m, owned[m])
+			bump(m)
+			cost, err := probes[m].Fold(&rows[c.typeOf[m]][m], owned[m])
+			if len(owned[m]) == 0 {
+				cost, err = c.energyAt(m, 0), nil
+			}
 			if err != nil {
 				return nil, 0, err
 			}
-			costs[m] = cost
+			costs[m], rowVer[m] = cost, ver[m]
+		}
+		// withoutCost prices processor m's list without task ti, folding it
+		// into the task's row when the swap pass runs, unless it already
+		// did at m's version.
+		withoutCost := func(m, ti int) (float64, error) {
+			p := &withouts[ti]
+			if p.ver != ver[m] {
+				probeA = without(probeA, owned[m], ti)
+				if doSwaps {
+					p.cost, p.err = probes[m].Fold(&rows[c.typeOf[m]][mCount+ti], probeA)
+				} else {
+					p.cost, p.err = probes[m].Cost(probeA)
+				}
+				if len(probeA) == 0 {
+					p.cost, p.err = c.energyAt(m, 0), nil
+				}
+				p.ver = ver[m]
+			}
+			return p.cost, p.err
+		}
+		// appendCost prices processor m's list plus task ti from its list's
+		// row, folding the row again first if a move changed the list.
+		appendCost := func(m, ti int) (float64, error) {
+			row := &rows[c.typeOf[m]][m]
+			if rowVer[m] != ver[m] {
+				_, _ = probes[m].Fold(row, owned[m]) // costs[m] holds the list's own price
+				rowVer[m] = ver[m]
+			}
+			return probes[m].CostAppend(row, ti)
+		}
+		// swapCost prices processor m's list without task ti, plus task tj.
+		swapCost := func(m, ti, tj int) (float64, error) {
+			withoutCost(m, ti) // an error is the append's to report
+			return probes[m].CostAppend(&rows[c.typeOf[m]][mCount+ti], tj)
 		}
 		stale := 0 // probe positions since the last applied move
 		settled := func(moved bool) bool {
@@ -863,8 +946,7 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 		for pass := 0; pass < passes; pass++ {
 			for ti := range tasks {
 				from := owner[ti]
-				probeA = without(probeA, owned[from], ti)
-				fromCost, err := costProc(from, probeA)
+				fromCost, err := withoutCost(from, ti)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -875,8 +957,7 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 					if to == from {
 						continue
 					}
-					probeB = append(append(probeB[:0], owned[to]...), ti)
-					toCost, err := costProc(to, probeB)
+					toCost, err := appendCost(to, ti)
 					if err != nil {
 						return nil, 0, err
 					}
@@ -887,9 +968,12 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 				}
 				if bestTo >= 0 {
 					owned[bestTo] = append(owned[bestTo], ti)
+					probeA = without(probeA, owned[from], ti)
 					owned[from], probeA = probeA, owned[from]
 					owner[ti] = bestTo
 					costs[from], costs[bestTo] = fromCost, bestToCost
+					bump(from)
+					bump(bestTo)
 				}
 				if settled(bestTo >= 0) {
 					break refining
@@ -900,22 +984,24 @@ func (h HeteroPartition) Solve(in HeteroInstance) (Solution, error) {
 					pa, pb := owner[ti], owner[tj]
 					moved := false
 					if pa != pb {
-						probeA = append(without(probeA, owned[pa], ti), tj)
-						probeB = append(without(probeB, owned[pb], tj), ti)
-						aCost, err := costProc(pa, probeA)
+						aCost, err := swapCost(pa, ti, tj)
 						if err != nil {
 							return nil, 0, err
 						}
-						bCost, err := costProc(pb, probeB)
+						bCost, err := swapCost(pb, tj, ti)
 						if err != nil {
 							return nil, 0, err
 						}
 						delta := (aCost + bCost) - (costs[pa] + costs[pb])
 						if moved = delta < -1e-9; moved {
+							probeA = append(without(probeA, owned[pa], ti), tj)
+							probeB = append(without(probeB, owned[pb], tj), ti)
 							owned[pa], probeA = probeA, owned[pa]
 							owned[pb], probeB = probeB, owned[pb]
 							owner[ti], owner[tj] = pb, pa
 							costs[pa], costs[pb] = aCost, bCost
+							bump(pa)
+							bump(pb)
 						}
 					}
 					if settled(moved) {

@@ -185,31 +185,35 @@ type Stats struct {
 
 // entry is one cached plan: the solution plus the exactKey of the request
 // that produced it, for bit-exact hit verification. Anytime entries only
-// live inside a singleflight group — they are never Put.
+// live inside a singleflight group — they are never Put. A hetero entry
+// keeps its whole answer in hetero and sol is nil, so its cache node does
+// not carry an empty core.Solution.
 type entry struct {
 	key     []byte
-	sol     core.Solution
+	sol     *core.Solution
 	anytime bool
 	gap     float64
 	hetero  *heteroPlan
 }
 
-// heteroPlan is a hetero entry's extension in compact form: the
-// HeteroInfo with PerProc left nil, and place[i], the processor of request
-// task i (-1 when rejected). The entry's sol keeps no ID lists either:
-// answer rebuilds Accepted, Rejected and PerProc from place and the
-// request, which a hit has just shown bit-identical, so a cached hetero
-// frame holds n int32s instead of M+2 lists of task IDs.
+// heteroPlan is a hetero entry's answer in compact form: the HeteroInfo
+// with PerProc left nil, the energy, penalty and cost, and place[i], the
+// processor of request task i (-1 when rejected). answer rebuilds
+// Accepted, Rejected and PerProc from place and the request, which a hit
+// has just shown bit-identical, so a cached hetero frame holds n int32s
+// instead of M+2 lists of task IDs.
 type heteroPlan struct {
-	info  HeteroInfo
-	place []int32
+	info                  HeteroInfo
+	place                 []int32
+	energy, penalty, cost float64
 }
 
 // newEntry builds the entry of a request solved into sol (and hi, for a
 // hetero request).
 func newEntry(req Request, sol core.Solution, an anytimeNote, hi *HeteroInfo) entry {
-	ent := entry{key: exactKey(req), sol: sol, anytime: an.used, gap: an.gap}
+	ent := entry{key: exactKey(req), anytime: an.used, gap: an.gap}
 	if hi == nil {
+		ent.sol = &sol
 		return ent
 	}
 	procOf := make(map[int]int32, len(sol.Accepted))
@@ -218,7 +222,8 @@ func newEntry(req Request, sol core.Solution, an anytimeNote, hi *HeteroInfo) en
 			procOf[id] = int32(m)
 		}
 	}
-	plan := &heteroPlan{info: *hi, place: make([]int32, len(req.Tasks.Tasks))}
+	plan := &heteroPlan{info: *hi, place: make([]int32, len(req.Tasks.Tasks)),
+		energy: sol.Energy, penalty: sol.Penalty, cost: sol.Cost}
 	plan.info.PerProc = nil
 	for i, t := range req.Tasks.Tasks {
 		m, ok := procOf[t.ID]
@@ -228,7 +233,6 @@ func newEntry(req Request, sol core.Solution, an anytimeNote, hi *HeteroInfo) en
 		plan.place[i] = m
 	}
 	ent.hetero = plan
-	ent.sol.Accepted, ent.sol.Rejected = nil, nil
 	return ent
 }
 
@@ -237,9 +241,10 @@ func newEntry(req Request, sol core.Solution, an anytimeNote, hi *HeteroInfo) en
 // mutate without corrupting the cache.
 func (ent entry) answer(req Request) (core.Solution, *HeteroInfo) {
 	if ent.hetero == nil {
-		return cloneSolution(ent.sol), nil
+		return cloneSolution(*ent.sol), nil
 	}
-	sol, h := ent.sol, ent.hetero.info
+	sol := core.Solution{Energy: ent.hetero.energy, Penalty: ent.hetero.penalty, Cost: ent.hetero.cost}
+	h := ent.hetero.info
 	h.Energies = slices.Clone(h.Energies)
 	h.PerProc = make([][]int, len(req.Procs))
 	sol.Accepted = make([]int, 0, len(req.Tasks.Tasks))
@@ -627,7 +632,8 @@ func (e *Engine) Warm(req Request, sol core.Solution) bool {
 	if e.cache.Contains(fp) {
 		return false
 	}
-	e.cache.Put(fp, entry{key: exactKey(req), sol: cloneSolution(sol)})
+	sol = cloneSolution(sol)
+	e.cache.Put(fp, entry{key: exactKey(req), sol: &sol})
 	e.warmed.Add(1)
 	return true
 }
