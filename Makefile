@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime 60s
 	$(GO) test ./internal/anytime/ -run '^$$' -fuzz '^FuzzAnytimeFront$$' -fuzztime 60s
 	$(GO) test ./internal/multiproc/ -run '^$$' -fuzz '^FuzzHeteroPartition$$' -fuzztime 60s
+	$(GO) test ./internal/speed/ -run '^$$' -fuzz '^FuzzEnergyMonotone$$' -fuzztime 60s
 
 # Randomized oracle/metamorphic soak through the solver registry; on
 # failure it shrinks the instance and writes a repro (see TESTING.md).

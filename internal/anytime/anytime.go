@@ -99,8 +99,8 @@ type Result struct {
 	// Generations counts the completed generation barriers.
 	Generations int
 	// LowerBound is the certified lower bound on the optimal cost from
-	// core.CostLowerBound; NaN when unavailable (heterogeneous or
-	// non-monotone energy instances, or GapStates < 0).
+	// core.CostLowerBound; NaN when unavailable (heterogeneous instances,
+	// a state budget too small for the task count, or GapStates < 0).
 	LowerBound float64
 	// Gap bounds the suboptimality: (Best.Cost − LowerBound)/Best.Cost,
 	// clamped at 0; NaN when LowerBound is. Gap = 0 certifies optimality.

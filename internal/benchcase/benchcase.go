@@ -317,6 +317,25 @@ func All() []Case {
 			return solve(multiproc.HeteroPartition{}.Solve, multiproc.HeteroInstance{Tasks: set, Procs: procs}), err
 		})
 	}
+	// A hetero-herd frame (D 1000, load 1.2·Σ capacity) on an XScale
+	// big.LITTLE vector whose cores run the XScale ladder, scaled to each
+	// core's top speed (the little cores' ladder halved).
+	add("HeteroPartitionLadder", 18, 4, func() (Op, error) {
+		procs, err := gen.BigLittle(gen.BigLittleConfig{NBig: 2, NLittle: 2, XScale: true})
+		if err != nil {
+			return Op{}, err
+		}
+		capacity := 0.0
+		for i, p := range procs {
+			procs[i].Levels = make(power.LevelSet, 0, len(power.XScaleLevels()))
+			for _, s := range power.XScaleLevels() {
+				procs[i].Levels = append(procs[i].Levels, s*p.SMax)
+			}
+			capacity += procs[i].MaxSpeed()
+		}
+		set, err := frame(18, 1.2*capacity, 1000)
+		return solve(multiproc.HeteroPartition{}.Solve, multiproc.HeteroInstance{Tasks: set, Procs: procs}), err
+	})
 	// The online and dormant extensions: the E11 storm and the E14
 	// light-load storm on a dormant-enable XScale processor.
 	add("OnlineSimulate", 64, 0, func() (Op, error) {
@@ -427,6 +446,13 @@ func All() []Case {
 	})
 	add("DPSparseBeyondWall", 40, 0, func() (Op, error) {
 		in, err := beyondWall()
+		return solve(core.DP{}.Solve, in), err
+	})
+	// A sparse frame on the XScale ladder: n=36 on a 2^24 grid, past the
+	// dense budget, so DP routes to the sparse rows.
+	add("DPSparseLadder", 36, 0, func() (Op, error) {
+		in, err := sparse(36, 1<<24)
+		in.Proc = speed.Proc{Model: power.XScale(), Levels: power.XScaleLevels()}
 		return solve(core.DP{}.Solve, in), err
 	})
 	// The anytime tier (internal/anytime): the raw SoA fitness kernel (64

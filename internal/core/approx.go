@@ -84,7 +84,7 @@ func (a ApproxDP) SolveStats(in Instance) (Solution, DPStats, error) {
 		return Solution{}, DPStats{}, fmt.Errorf("core: ApproxDP needs %d states, over the limit %d (raise ε)", work, limit)
 	}
 
-	r := dpRun{its: scaled, cap64: capScaled, scale: float64(k), monotone: ctx.fastEnergy, workers: a.Workers}
+	r := dpRun{its: scaled, cap64: capScaled, scale: float64(k), workers: a.Workers}
 	accepted, err := r.solve(sc, dpRow0, ctx.energy)
 	if err != nil {
 		return Solution{}, r.stats, err

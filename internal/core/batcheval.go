@@ -63,11 +63,6 @@ func (b *BatchEval) Fits(w float64) bool { return b.ctx.fits(w) }
 // bit-identical to the probes the in-package solvers make.
 func (b *BatchEval) Energy(w float64) float64 { return b.ctx.energy(w) }
 
-// EnergyMonotone reports whether E(w) is non-decreasing in w — true on
-// the closed-form continuous curve, not guaranteed on discrete ladders or
-// dormant-enable break-even plateaus.
-func (b *BatchEval) EnergyMonotone() bool { return b.ctx.fastEnergy }
-
 // TotalPenalty returns Σ v_i over all tasks, summed in column order.
 func (b *BatchEval) TotalPenalty() float64 {
 	var sum float64

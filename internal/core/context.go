@@ -58,9 +58,11 @@ type evalCtx struct {
 
 	// fastEnergy marks instances whose energy curve has the closed
 	// continuous-speed form below (Levels == nil, dormant disabled —
-	// leakage is fine). Discrete-speed and dormant-enable processors fall
-	// back to speed.Proc.Energy, still skipping the per-call capacity and
-	// heterogeneity recomputation.
+	// leakage is fine). Every other processor probes curve: discrete
+	// ladders through the assignDiscrete mirror with the per-level powers
+	// memoized (from the ProcProfile's table when one is attached, else
+	// seeded per solve), dormant continuous processors through
+	// speed.Proc.Energy — bit-identical either way.
 	fastEnergy bool
 	smin, smax float64
 	pind       float64 // static power Pind
@@ -76,13 +78,7 @@ type evalCtx struct {
 	// the bit-identity corpus, covers it).
 	fastPow bool
 
-	// discreteFast marks instances on discrete-ladder processors, whose
-	// E(w) probes go through curve — the assignDiscrete mirror with the
-	// per-level powers memoized (bit-identical on every probe). The memo
-	// table comes from the ProcProfile when one is attached, otherwise it
-	// is seeded per solve.
-	discreteFast bool
-	curve        speed.Curve
+	curve speed.Curve // E(w) when !fastEnergy
 }
 
 // newEvalCtx validates the instance and builds its evaluation context.
@@ -201,15 +197,13 @@ func (c *evalCtx) init(in Instance) error {
 	c.idleTotal = c.pind * c.deadline
 	c.hetDenom = math.Pow(c.deadline, c.alpha-1)
 	c.fastPow = in.FastPow && (c.alpha == 2 || c.alpha == 3)
-	c.discreteFast = in.Proc.Levels != nil
-	if c.discreteFast {
-		if pp != nil && pp.hasPd {
-			c.curve = speed.NewCurveWithPd(in.Proc, c.deadline, pp.pd)
-		} else {
-			c.curve = speed.NewCurve(in.Proc, c.deadline)
-		}
-	} else {
+	switch {
+	case c.fastEnergy:
 		c.curve = speed.Curve{}
+	case pp != nil && pp.hasPd:
+		c.curve = speed.NewCurveWithPd(in.Proc, c.deadline, pp.pd)
+	default:
+		c.curve = speed.NewCurve(in.Proc, c.deadline)
 	}
 	return nil
 }
@@ -228,10 +222,7 @@ func (c *evalCtx) fits(w float64) bool {
 // Instance.energyOf.
 func (c *evalCtx) energy(w float64) float64 {
 	if !c.fastEnergy {
-		if c.discreteFast {
-			return c.curve.Energy(w)
-		}
-		return c.in.Proc.Energy(w, c.deadline)
+		return c.curve.Energy(w)
 	}
 	// w != w catches NaN, w < 0 catches -Inf, the capacity check catches
 	// +Inf — the same rejections speed.Proc.Assign makes, without the
@@ -301,23 +292,21 @@ func (c *evalCtx) evaluate(accepted []int) (Solution, error) {
 // level minimizing energy(w·scale) + pen[w], returning (-1, +Inf) when no
 // level is feasible. It replaces the DP solvers' full-width energy sweep.
 //
-// When monotone is true (the energy curve is non-decreasing in w — always
-// the case on the closed-form continuous curve, convex or not), two exact
-// prunings apply without changing the selected argmin or its tie-breaks:
+// The energy curve is non-decreasing in w on every processor flavour (see
+// speed.Curve), so two exact prunings apply without changing the selected
+// argmin or its tie-breaks:
 //
 //   - dominance: a level whose penalty is no better than an already-scanned
 //     cheaper-energy level can never win strictly, so only the strictly
 //     decreasing penalty frontier is costed (the same frontier
 //     ParetoFrontier keeps);
-//   - monotone cut-off: once the energy alone reaches the incumbent cost,
+//   - cut-off: once the energy alone reaches the incumbent cost,
 //     no larger workload can strictly improve (penalties are ≥ 0), ending
 //     the scan early.
 //
 // Together with the O(1) closed-form energy evaluation this turns the
-// final scan from width × Assign into |frontier| × Pow. Non-monotone
-// curves (dormant-enable break-even plateaus, discrete ladders) keep the
-// exhaustive scan the seed code performed.
-func minCostWorkload(pen []float64, energy func(float64) float64, scale float64, monotone bool) (int64, float64) {
+// final scan from width × Assign into |frontier| × Pow.
+func minCostWorkload(pen []float64, energy func(float64) float64, scale float64) (int64, float64) {
 	bestW, bestCost := int64(-1), math.Inf(1)
 	frontier := math.Inf(1) // min penalty among costed levels so far
 	for w := 0; w < len(pen); w++ {
@@ -325,7 +314,7 @@ func minCostWorkload(pen []float64, energy func(float64) float64, scale float64,
 		if math.IsInf(fw, 1) {
 			continue
 		}
-		if monotone && fw >= frontier {
+		if fw >= frontier {
 			continue // dominated by an earlier, cheaper-energy level
 		}
 		frontier = fw
@@ -333,20 +322,20 @@ func minCostWorkload(pen []float64, energy func(float64) float64, scale float64,
 		if c := e + fw; c < bestCost {
 			bestCost, bestW = c, int64(w)
 		}
-		if monotone && e >= bestCost && bestW >= 0 {
+		if e >= bestCost && bestW >= 0 {
 			break // energy alone already matches the incumbent
 		}
 	}
 	return bestW, bestCost
 }
 
-// minCostWorkloadParallel is minCostWorkload for monotone energy curves
-// with the frontier compaction chunked over the conc pool. Each chunk
-// collects its local strictly-decreasing penalty frontier — a superset of
-// the global frontier restricted to the chunk — without touching the
-// energy curve; a serial finishing pass then walks the candidates in
-// ascending workload order applying exactly the serial scan's global
-// frontier filter, energy costing, incumbent update and monotone cut-off.
+// minCostWorkloadParallel is minCostWorkload with the frontier compaction
+// chunked over the conc pool. Each chunk collects its local strictly-
+// decreasing penalty frontier — a superset of the global frontier
+// restricted to the chunk — without touching the energy curve; a serial
+// finishing pass then walks the candidates in ascending workload order
+// applying exactly the serial scan's global frontier filter, energy
+// costing, incumbent update and cut-off.
 // The argmin and its tie-breaks therefore match minCostWorkload exactly;
 // only the O(width) penalty-row sweep runs concurrently.
 func minCostWorkloadParallel(pen []float64, energy func(float64) float64, scale float64, workers int) (int64, float64) {

@@ -106,58 +106,57 @@ func TestEvalCtxItemsMatch(t *testing.T) {
 	}
 }
 
-// TestMinCostWorkloadMatchesFullScan checks the pruned final scan against
-// the exhaustive reference on adversarial penalty shapes: the same argmin
-// (including first-strict-improvement tie-breaking) must come back whether
-// or not the monotone prunings are enabled.
+// TestMinCostWorkloadMatchesFullScan checks the pruned, cut-off final
+// scan against the exhaustive reference on adversarial penalty shapes and
+// every testProcs energy curve, ladders and dormant modes included: the
+// same argmin (including first-strict-improvement tie-breaking) must come
+// back.
 func TestMinCostWorkloadMatchesFullScan(t *testing.T) {
-	in := randomInstance(t, 3, 10, 1.4, testProcs["ideal-cubic"], gen.PenaltyUniform)
-	ctx, err := newEvalCtx(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	width := int64(math.Floor(ctx.capacity*(1+1e-12))) + 1
+	for procName, proc := range testProcs {
+		in := randomInstance(t, 3, 10, 1.4, proc, gen.PenaltyUniform)
+		ctx, err := newEvalCtx(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		width := int64(math.Floor(ctx.capacity*(1+1e-12))) + 1
 
-	cases := map[string]func(w int64) float64{
-		"strictly-decreasing": func(w int64) float64 { return float64(width - w) },
-		"constant":            func(w int64) float64 { return 5 },
-		"zigzag":              func(w int64) float64 { return float64((w*7919)%13) + float64(width-w)/float64(width) },
-		"sparse": func(w int64) float64 {
-			if w%17 != 0 {
-				return math.Inf(1)
-			}
-			return float64(width - w)
-		},
-		"all-infeasible": func(w int64) float64 { return math.Inf(1) },
-		"zero-tail": func(w int64) float64 {
-			if w > width/2 {
-				return 0
-			}
-			return float64(width - w)
-		},
-	}
-	for name, shape := range cases {
-		pen := make([]float64, width)
-		for w := int64(0); w < width; w++ {
-			pen[w] = shape(w)
+		cases := map[string]func(w int64) float64{
+			"strictly-decreasing": func(w int64) float64 { return float64(width - w) },
+			"constant":            func(w int64) float64 { return 5 },
+			"zigzag":              func(w int64) float64 { return float64((w*7919)%13) + float64(width-w)/float64(width) },
+			"sparse": func(w int64) float64 {
+				if w%17 != 0 {
+					return math.Inf(1)
+				}
+				return float64(width - w)
+			},
+			"all-infeasible": func(w int64) float64 { return math.Inf(1) },
+			"zero-tail": func(w int64) float64 {
+				if w > width/2 {
+					return 0
+				}
+				return float64(width - w)
+			},
 		}
-		// Reference: the seed code's full-width scan.
-		refW, refCost := int64(-1), math.Inf(1)
-		for w := int64(0); w < width; w++ {
-			if math.IsInf(pen[w], 1) {
-				continue
+		for name, shape := range cases {
+			pen := make([]float64, width)
+			for w := int64(0); w < width; w++ {
+				pen[w] = shape(w)
 			}
-			if c := ctx.energy(float64(w)) + pen[w]; c < refCost {
-				refCost, refW = c, w
+			// Reference: the seed code's full-width scan.
+			refW, refCost := int64(-1), math.Inf(1)
+			for w := int64(0); w < width; w++ {
+				if math.IsInf(pen[w], 1) {
+					continue
+				}
+				if c := ctx.energy(float64(w)) + pen[w]; c < refCost {
+					refCost, refW = c, w
+				}
 			}
-		}
-		gotW, gotCost := minCostWorkload(pen, ctx.energy, 1, true)
-		if gotW != refW || math.Float64bits(gotCost) != math.Float64bits(refCost) {
-			t.Errorf("%s: minCostWorkload = (%d, %v), full scan = (%d, %v)", name, gotW, gotCost, refW, refCost)
-		}
-		gotW, gotCost = minCostWorkload(pen, ctx.energy, 1, false)
-		if gotW != refW || math.Float64bits(gotCost) != math.Float64bits(refCost) {
-			t.Errorf("%s (non-monotone path): minCostWorkload = (%d, %v), full scan = (%d, %v)", name, gotW, gotCost, refW, refCost)
+			gotW, gotCost := minCostWorkload(pen, ctx.energy, 1)
+			if gotW != refW || math.Float64bits(gotCost) != math.Float64bits(refCost) {
+				t.Errorf("%s/%s: minCostWorkload = (%d, %v), full scan = (%d, %v)", procName, name, gotW, gotCost, refW, refCost)
+			}
 		}
 	}
 }

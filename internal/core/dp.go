@@ -26,8 +26,8 @@ type DP struct {
 	// grid cells (0 means DefaultMaxDPStates), sparse solves count actual
 	// row breakpoints (0 means DefaultMaxSparseCells).
 	MaxStates int64
-	// Workers > 1 chunks each table row (and the monotone final scan)
-	// across that many goroutines on the shared conc pool, with
+	// Workers > 1 chunks each table row (and the final scan) across
+	// that many goroutines on the shared conc pool, with
 	// word-aligned chunks and a deterministic reduction, so results stay
 	// byte-identical to the serial evaluation. 0 or 1 keeps the serial
 	// kernel — the default, since the rows are memory-bound and only
@@ -113,12 +113,12 @@ func (d DP) solve(in Instance, rec *DPState) (Solution, DPStats, error) {
 		return Solution{}, DPStats{}, ErrHeterogeneous
 	}
 	cap64 := dpCapacity(ctx.capacity)
-	r, err := d.newRun(ctx.items, cap64, ctx.fastEnergy)
+	r, err := d.newRun(ctx.items, cap64)
 	if err != nil {
 		return Solution{}, DPStats{}, err
 	}
 	if rec != nil {
-		rec.begin(cap64, d.checkpointStride(), len(ctx.items), r.sparse, r.prune)
+		rec.begin(cap64, d.checkpointStride(), len(ctx.items), r.sparse)
 		r.rec = rec
 	}
 	sc := getDPScratch()
@@ -135,13 +135,12 @@ func (d DP) solve(in Instance, rec *DPState) (Solution, DPStats, error) {
 // one place that picks the row representation and applies the dense
 // admission check, for cold and warm solves alike: SparseAuto keeps
 // dense rows while the n·(cap64+1) grid fits the state budget.
-func (d DP) newRun(its []item, cap64 int64, monotone bool) (dpRun, error) {
+func (d DP) newRun(its []item, cap64 int64) (dpRun, error) {
 	denseLimit := d.MaxStates
 	if denseLimit == 0 {
 		denseLimit = DefaultMaxDPStates
 	}
-	r := dpRun{its: its, cap64: cap64, scale: 1, monotone: monotone, prune: monotone,
-		workers: d.Workers, limit: d.MaxStates, denseLimit: denseLimit}
+	r := dpRun{its: its, cap64: cap64, scale: 1, workers: d.Workers, limit: d.MaxStates, denseLimit: denseLimit}
 	if r.limit == 0 {
 		r.limit = DefaultMaxSparseCells
 	}
@@ -196,15 +195,13 @@ func denseStatesErr(work int64, n int, cap64, limit int64) error {
 // sparse prefix of a switched run), and hi, the rows the fold wrote. The
 // energy curve enters only the scan, so it is passed there.
 type dpRun struct {
-	its      []item // c in grid units
-	cap64    int64
-	scale    float64 // grid units → true cycles for the energy curve
-	monotone bool    // non-decreasing energy: pruned, cut-off final scan
-	prune    bool    // sparse rows keep only the dominance frontier
-	workers  int
-	sparse   bool  // rows start sparse
-	limit    int64 // sparse breakpoint budget, summed over all rows
-	spent    int64 // breakpoints already spent (a warm start's prefix)
+	its     []item // c in grid units
+	cap64   int64
+	scale   float64 // grid units → true cycles for the energy curve
+	workers int
+	sparse  bool  // rows start sparse
+	limit   int64 // sparse breakpoint budget, summed over all rows
+	spent   int64 // breakpoints already spent (a warm start's prefix)
 	// denseLimit admits the adaptive switchover: an unrecorded cold sparse
 	// run whose occupancy passes 1/8 of the grid finishes on dense rows
 	// once the rest of the table fits it — the dense kernel's branch-free
@@ -291,7 +288,7 @@ func (r *dpRun) fold(sc *dpScratch, from dpSnap) (ws []int64, f []float64, err e
 		if sparse {
 			var wrote []float64
 			var k int
-			ws, f, wrote, k = sparseStep(r.hi.sp, ws, f, sc.spF, it, r.cap64, r.prune, r.limit-r.spent)
+			ws, f, wrote, k = sparseStep(r.hi.sp, ws, f, sc.spF, it, r.cap64, r.limit-r.spent)
 			sc.spF, sc.spF2 = sc.spF2, wrote
 			if k >= 0 {
 				r.spent += int64(k)
@@ -392,11 +389,11 @@ func (sc *dpScratch) denseRows(width int64, ws []int64, f []float64) ([]float64,
 func (r *dpRun) scan(ws []int64, f []float64, energy func(float64) float64) (int64, float64) {
 	switch {
 	case ws != nil:
-		return minCostWorkloadSparse(ws, f, energy, r.scale, r.monotone)
-	case r.workers > 1 && r.monotone:
+		return minCostWorkloadSparse(ws, f, energy, r.scale)
+	case r.workers > 1:
 		return minCostWorkloadParallel(f, energy, r.scale, r.workers)
 	}
-	return minCostWorkload(f, energy, r.scale, r.monotone)
+	return minCostWorkload(f, energy, r.scale)
 }
 
 // reconstruct walks the take bits back from the final workload w: rows

@@ -109,7 +109,7 @@ func (r *sparseRows) take(i, k int) bool {
 // the produced row to rows with buf as the value buffer. It returns the
 // new row views, the (possibly regrown) buffer, and the cell count — -1
 // when the row overflows the remaining breakpoint budget.
-func sparseStep(rows *sparseRows, prevW []int64, prevF []float64, buf []float64, it item, cap64 int64, prune bool, budget int64) ([]int64, []float64, []float64, int) {
+func sparseStep(rows *sparseRows, prevW []int64, prevF []float64, buf []float64, it item, cap64 int64, budget int64) ([]int64, []float64, []float64, int) {
 	if it.c > cap64 {
 		// Never acceptable: every path pays the penalty. The add runs cell
 		// by cell so the float summation order matches dpRejectRange — an
@@ -130,7 +130,7 @@ func sparseStep(rows *sparseRows, prevW []int64, prevF []float64, buf []float64,
 	}
 	outW, bits := rows.grow(maxOut)
 	buf = growF64(buf, maxOut)
-	k := sparseMergeRow(prevW, prevF, it.c, it.v, cap64, prune, outW, buf[:maxOut], bits)
+	k := sparseMergeRow(prevW, prevF, it.c, it.v, cap64, outW, buf[:maxOut], bits)
 	if k < 0 {
 		return nil, nil, buf, -1
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,9 +98,9 @@ func TestSparseDenseCoprimeFamily(t *testing.T) {
 }
 
 // TestSparseSwitchoverDense drives the adaptive switchover: a narrow grid
-// with many small tasks densifies the rows (no dominance pruning on the
-// non-monotone dormant curve), so the solve must hand off to the dense
-// kernel mid-run and still match it bit for bit.
+// with many small tasks fills the rows past 1/8 occupancy even with
+// dominance pruning on the dormant curve, so the solve must hand off to
+// the dense kernel mid-run and still match it bit for bit.
 func TestSparseSwitchoverDense(t *testing.T) {
 	proc := speed.Proc{Model: power.XScale(), SMax: 1, DormantEnable: true, Esw: 2}
 	set, err := gen.Frame(rand.New(rand.NewSource(7)), gen.Config{
@@ -273,34 +274,41 @@ func TestSparseWarmStart(t *testing.T) {
 	}
 }
 
-// TestSparseWarmStartPrunedDecline pins the sparse-specific validity rule:
-// a state recorded under a monotone curve holds only the dominance
-// frontier and must decline to warm-start a non-monotone instance, while
-// an unpruned state may warm a monotone one.
-func TestSparseWarmStartPrunedDecline(t *testing.T) {
-	cubic := speed.Proc{Model: power.Cubic(), SMax: 1}
-	dormant := speed.Proc{Model: power.XScale(), SMax: 1, DormantEnable: true, Esw: 2}
-	in := sparseInstance(t, 9, 16, 1<<22, cubic)
+// TestSparseWarmStartCrossCurve: sparse rows keep only the dominance
+// frontier on every processor flavour, so a sparse state recorded on one
+// energy curve warms an instance on any other — cubic, dormant XScale,
+// XScale ladder, dormant ladder, each into all four — for the same tasks
+// and for a task set edited near its end, bit-identical to a cold solve.
+func TestSparseWarmStartCrossCurve(t *testing.T) {
+	procs := map[string]speed.Proc{
+		"cubic":          {Model: power.Cubic(), SMax: 1},
+		"dormant":        {Model: power.XScale(), SMax: 1, DormantEnable: true, Esw: 2},
+		"ladder":         {Model: power.XScale(), Levels: power.XScaleLevels()},
+		"dormant-ladder": {Model: power.XScale(), Levels: power.XScaleLevels(), DormantEnable: true, Esw: 2},
+	}
 	d := DP{Sparse: SparseOn, CheckpointStride: 4}
-
-	var pruned DPState
-	if _, _, err := d.SolveCheckpoint(in, &pruned); err != nil {
-		t.Fatal(err)
+	for seed := int64(1); seed <= 5; seed++ {
+		for from, pf := range procs {
+			in := sparseInstance(t, seed, 16, 1<<22, pf)
+			var st DPState
+			if _, _, err := d.SolveCheckpoint(in, &st); err != nil {
+				t.Fatal(err)
+			}
+			for to, pt := range procs {
+				edited := in
+				edited.Proc = pt
+				edited.Tasks.Tasks = slices.Clone(in.Tasks.Tasks)
+				edited.Tasks.Tasks[len(edited.Tasks.Tasks)-2].Penalty *= 2
+				for _, target := range []Instance{{Tasks: in.Tasks, Proc: pt}, edited} {
+					name := fmt.Sprintf("seed %d %s→%s", seed, from, to)
+					want, errC := d.Solve(target)
+					sol, _, ok, errW := d.SolveFrom(&st, target, false)
+					if errC != nil || errW != nil || !ok {
+						t.Fatalf("%s: ok=%v coldErr=%v warmErr=%v", name, ok, errC, errW)
+					}
+					bitIdentical(t, name, sol, want)
+				}
+			}
+		}
 	}
-	swap := in
-	swap.Proc = dormant
-	if _, _, ok, err := d.SolveFrom(&pruned, swap, false); ok || err != nil {
-		t.Errorf("pruned state warm-started a non-monotone instance: ok=%v err=%v", ok, err)
-	}
-
-	var unpruned DPState
-	if _, _, err := d.SolveCheckpoint(swap, &unpruned); err != nil {
-		t.Fatal(err)
-	}
-	want, errC := d.Solve(in)
-	sol, _, ok, errW := d.SolveFrom(&unpruned, in, false)
-	if errC != nil || errW != nil || !ok {
-		t.Fatalf("unpruned warm across curves: ok=%v coldErr=%v warmErr=%v", ok, errC, errW)
-	}
-	bitIdentical(t, "unpruned-to-monotone", sol, want)
 }

@@ -21,17 +21,16 @@ import "math"
 // and the float arithmetic uses the same operands as the dense kernel, so
 // every produced cell is bit-identical to its dense counterpart.
 //
-// When prune is true (monotone energy curve) cells are additionally
-// filtered to the strictly-decreasing penalty frontier — the same
-// dominance rule minCostWorkload applies to the final row. A dominated
-// cell can never be selected by the monotone final scan, and the cells on
-// the selected workload's reconstruction path are always strictly
-// non-dominated in their rows (a dominated path cell would place an
-// equal-or-cheaper final cell at a strictly smaller workload, which the
-// scan's first-wins tie-break would have preferred over the one actually
-// chosen), so pruning changes no observable output. Non-monotone curves
-// (dormant break-evens, discrete ladders) keep every finite cell.
-func sparseMergeRow(prevW []int64, prevF []float64, c int64, v float64, cap64 int64, prune bool, outW []int64, outF []float64, bits []uint64) int {
+// Cells are additionally filtered to the strictly-decreasing penalty
+// frontier — the same dominance rule minCostWorkload applies to the final
+// row. The energy curve is non-decreasing on every processor flavour (see
+// speed.Curve), so a dominated cell can never be selected by the final
+// scan, and the cells on the selected workload's reconstruction path are
+// always strictly non-dominated in their rows (a dominated path cell would
+// place an equal-or-cheaper final cell at a strictly smaller workload,
+// which the scan's first-wins tie-break would have preferred over the one
+// actually chosen), so pruning changes no observable output.
+func sparseMergeRow(prevW []int64, prevF []float64, c int64, v float64, cap64 int64, outW []int64, outF []float64, bits []uint64) int {
 	np := len(prevW)
 	lim := cap64 - c // take arm admits previous workloads ≤ lim
 	frontier := math.Inf(1)
@@ -63,12 +62,10 @@ func sparseMergeRow(prevW []int64, prevF []float64, c int64, v float64, cap64 in
 		default:
 			return k
 		}
-		if prune {
-			if f >= frontier {
-				continue // dominated by a cheaper cell at smaller workload
-			}
-			frontier = f
+		if f >= frontier {
+			continue // dominated by a cheaper cell at smaller workload
 		}
+		frontier = f
 		if k == len(outW) {
 			return -1
 		}
@@ -81,17 +78,17 @@ func sparseMergeRow(prevW []int64, prevF []float64, c int64, v float64, cap64 in
 
 // minCostWorkloadSparse is minCostWorkload over a sparse final row: the
 // same frontier filter, energy costing, first-wins incumbent update and
-// monotone cut-off, walked over the row's breakpoints instead of the full
+// cut-off, walked over the row's breakpoints instead of the full
 // grid. Sparse cells are finite by construction, so the dense scan's +Inf
 // skip has no counterpart; every other operation runs on the identical
 // (w, f) sequence the dense scan would cost, keeping the selected
 // workload bit-identical.
-func minCostWorkloadSparse(ws []int64, fs []float64, energy func(float64) float64, scale float64, monotone bool) (int64, float64) {
+func minCostWorkloadSparse(ws []int64, fs []float64, energy func(float64) float64, scale float64) (int64, float64) {
 	bestW, bestCost := int64(-1), math.Inf(1)
 	frontier := math.Inf(1)
 	for k, w := range ws {
 		fw := fs[k]
-		if monotone && fw >= frontier {
+		if fw >= frontier {
 			continue
 		}
 		frontier = fw
@@ -99,7 +96,7 @@ func minCostWorkloadSparse(ws []int64, fs []float64, energy func(float64) float6
 		if c := e + fw; c < bestCost {
 			bestCost, bestW = c, w
 		}
-		if monotone && e >= bestCost && bestW >= 0 {
+		if e >= bestCost && bestW >= 0 {
 			break
 		}
 	}

@@ -25,11 +25,10 @@ const DefaultCheckpointStride = 64
 // check), never a mix: dense states hold the packed take table plus f-row
 // snapshots, sparse states hold the breakpoint arenas of dpsparse.go plus
 // (workload, value) breakpoint snapshots. SolveFrom warms only a solve
-// whose cold run would pick the state's representation. One extra
-// validity caveat applies to sparse states whose rows were dominance-
-// pruned (recorded under a monotone energy curve): such rows carry only
-// the penalty frontier, which is exact only for monotone final scans, so
-// SolveFrom declines non-monotone instances instead of warm-starting them.
+// whose cold run would pick the state's representation. Sparse rows carry
+// only the dominance frontier, which is exact for every energy curve —
+// E(w) is non-decreasing on every processor flavour (see speed.Curve) —
+// so a sparse state recorded on one processor warms any other.
 //
 // The zero value is ready for SolveCheckpoint. A state being read by
 // SolveFrom(..., evolve=false) is never written and may serve any number
@@ -38,7 +37,6 @@ const DefaultCheckpointStride = 64
 type DPState struct {
 	valid  bool
 	sparse bool  // rows recorded by the sparse kernel
-	pruned bool  // sparse rows carry only the dominance frontier
 	n      int   // item rows recorded
 	cap64  int64 // integer grid capacity the table was built on
 	stride int
@@ -73,8 +71,8 @@ func (st *DPState) Reset() { st.valid = false }
 
 // begin resets the state for a fresh recording of n rows, keeping
 // backing arrays; the solver writes the take bits in place as it runs.
-func (st *DPState) begin(cap64 int64, stride, n int, sparse, pruned bool) {
-	st.valid, st.sparse, st.pruned = false, sparse, sparse && pruned
+func (st *DPState) begin(cap64 int64, stride, n int, sparse bool) {
+	st.valid, st.sparse = false, sparse
 	st.cap64, st.stride, st.n = cap64, stride, n
 	st.perRow = (cap64 + 64) / 64
 	st.snaps = st.snaps[:0]
@@ -170,12 +168,11 @@ func (d DP) SolveCheckpoint(in Instance, st *DPState) (Solution, DPStats, error)
 //
 // ok=false means the state cannot warm this instance (invalid state,
 // different grid capacity, a row representation other than the one a
-// cold d.Solve(in) would pick, pruned sparse rows under a non-monotone
-// energy curve, or divergence before the first checkpoint); the caller
-// should cold-solve. A non-nil error is the same failure a cold solve
-// would report: SolveFrom errors only where the cold solve errors. The
-// returned DPStats counts only the re-run rows — the measure of work
-// saved.
+// cold d.Solve(in) would pick, or divergence before the first
+// checkpoint); the caller should cold-solve. A non-nil error is the same
+// failure a cold solve would report: SolveFrom errors only where the cold
+// solve errors. The returned DPStats counts only the re-run rows — the
+// measure of work saved.
 //
 // evolve=false treats st as read-only (safe for concurrent SolveFrom
 // calls sharing one parent); evolve=true requires exclusive ownership and
@@ -197,13 +194,11 @@ func (d DP) SolveFrom(st *DPState, in Instance, evolve bool) (sol Solution, stat
 	if cap64 != st.cap64 {
 		return Solution{}, stats, false, nil
 	}
-	r, err := d.newRun(ctx.items, cap64, ctx.fastEnergy)
+	r, err := d.newRun(ctx.items, cap64)
 	if err != nil {
 		return Solution{}, stats, false, err
 	}
-	// Pruned rows carry only the dominance frontier, which is exact only
-	// under a monotone final scan; a non-monotone instance must cold-solve.
-	if r.sparse != st.sparse || (st.pruned && !ctx.fastEnergy) {
+	if r.sparse != st.sparse {
 		return Solution{}, stats, false, nil
 	}
 	k, found := st.checkpoint(ctx.items)
@@ -211,7 +206,6 @@ func (d DP) SolveFrom(st *DPState, in Instance, evolve bool) (sol Solution, stat
 		return Solution{}, stats, false, nil
 	}
 	from := st.snaps[k]
-	r.prune = st.pruned
 	r.lo = st.rows()
 	if r.sparse {
 		r.spent = st.sp.off[from.row] // the breakpoints a cold solve spent on the prefix

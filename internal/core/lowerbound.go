@@ -18,16 +18,13 @@ const DefaultLowerBoundStates = 1 << 20
 //	Σᵢ∈A ⌊cᵢ/k⌋ ≤ Σᵢ∈A cᵢ/k ≤ C/k for every truly feasible A,
 //
 // so every feasible accepted set stays feasible in the scaled grid, and
-// with E monotone, E(k·w̃(A)) + Σ_rej v ≤ E(w(A)) + Σ_rej v — the scaled
-// optimum never exceeds the true cost of any feasible set, hence is ≤ OPT.
+// since E is non-decreasing on every processor flavour (see speed.Curve),
+// E(k·w̃(A)) + Σ_rej v ≤ E(w(A)) + Σ_rej v — the scaled optimum never
+// exceeds the true cost of any feasible set, hence is ≤ OPT.
 // Tasks whose scaled cycles floor to zero are accepted for free in the
 // relaxation (they contribute neither energy nor penalty), which only
 // lowers the bound further. With k = 1 the bound equals the exact DP
-// optimum.
-//
-// Monotonicity is required: instances on discrete speed ladders or with
-// dormancy enabled (whose E(w) can dip) are refused, as are heterogeneous
-// instances.
+// optimum. Heterogeneous instances are refused.
 func CostLowerBound(in Instance, maxStates int64) (float64, error) {
 	if maxStates <= 0 {
 		maxStates = DefaultLowerBoundStates
@@ -39,9 +36,6 @@ func CostLowerBound(in Instance, maxStates int64) (float64, error) {
 	defer ctx.release()
 	if ctx.hetero {
 		return 0, ErrHeterogeneous
-	}
-	if !ctx.fastEnergy {
-		return 0, fmt.Errorf("core: cost lower bound needs a monotone energy curve (continuous speeds, dormancy disabled)")
 	}
 	cap64 := dpCapacity(ctx.capacity)
 	if cap64 < 0 {
@@ -75,7 +69,7 @@ func CostLowerBound(in Instance, maxStates int64) (float64, error) {
 
 	sc := getDPScratch()
 	defer putDPScratch(sc)
-	r := dpRun{its: its, cap64: cap64 / k, scale: float64(k), monotone: true}
+	r := dpRun{its: its, cap64: cap64 / k, scale: float64(k)}
 	accepted, err := r.solve(sc, dpRow0, ctx.energy)
 	if err != nil {
 		return 0, err

@@ -150,10 +150,10 @@ func (s *SubsetDP) CostAppend(row *SubsetRow, i int) (float64, error) {
 	if row.kept && !slices.Contains(row.idx, i) {
 		budget := s.limit - row.spent
 		s.sc.spRec.begin(0)
-		ws, f, buf, k := sparseStep(&s.sc.spRec, row.ws, row.f, s.sc.spF, s.ctx.items[i], s.cap64, s.ctx.fastEnergy, budget)
+		ws, f, buf, k := sparseStep(&s.sc.spRec, row.ws, row.f, s.sc.spF, s.ctx.items[i], s.cap64, budget)
 		s.sc.spF = buf
 		if k >= 0 && int64(k) <= budget {
-			if w, cost := minCostWorkloadSparse(ws, f, s.energy, 1, s.ctx.fastEnergy); w >= 0 {
+			if w, cost := minCostWorkloadSparse(ws, f, s.energy, 1); w >= 0 {
 				return cost, nil
 			}
 		}
@@ -167,7 +167,7 @@ func (s *SubsetDP) cost(idx []int, keep *SubsetRow) (float64, error) {
 	if s.dp.Sparse != SparseOn || !s.gather(idx) {
 		return s.solveCost(idx)
 	}
-	r, _ := s.dp.newRun(s.its, s.cap64, s.ctx.fastEnergy) // SparseOn admits every grid
+	r, _ := s.dp.newRun(s.its, s.cap64) // SparseOn admits every grid
 	ws, f, err := r.fold(&s.sc, dpRow0)
 	if err != nil {
 		return s.solveCost(idx)

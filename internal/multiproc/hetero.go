@@ -1160,11 +1160,10 @@ const DefaultHeteroLowerBoundStates = int64(1) << 20
 //  2. the M per-processor energy curves are pooled into one grid curve
 //     Φ(t) = min over integer splits Σ_m j_m = t of Σ_m E_m(k·j_m). With
 //     each E_m convex and nondecreasing (continuous speeds, dormancy
-//     disabled — required, as in core.CostLowerBound), the discrete
-//     inf-convolution is the ascending merge of the per-processor
-//     marginal increments; a suffix-min pass per processor keeps the
-//     merge a certified lower bound even under float jitter in the
-//     marginals;
+//     disabled — required here), the discrete inf-convolution is the
+//     ascending merge of the per-processor marginal increments; a
+//     suffix-min pass per processor keeps the merge a certified lower
+//     bound even under float jitter in the marginals;
 //  3. a real split's per-processor floors each lose strictly less than
 //     one grid cell, so the relaxation prices a scaled workload t at
 //     Φ(max(t−(M−1), 0)) — the certification offset;
@@ -1173,8 +1172,10 @@ const DefaultHeteroLowerBoundStates = int64(1) << 20
 //
 // With M = 1 and k = 1 the bound equals the exact single-processor DP
 // optimum. Discrete speed ladders and dormant-enabled processors are
-// refused (their E(w) can dip, breaking both monotonicity and the
-// marginal merge).
+// refused: their E(w) is non-decreasing too (see speed.Curve), but the
+// marginal merge also needs convexity, which dormant curves lack (the
+// Esw step, the critical-speed knee) and ladder curves are not shown to
+// have.
 func HeteroLowerBound(in HeteroInstance, maxStates int64) (float64, error) {
 	if maxStates <= 0 {
 		maxStates = DefaultHeteroLowerBoundStates

@@ -47,38 +47,43 @@ func checkAnytimeResponse(t *testing.T, req Request, resp Response) {
 }
 
 // TestAnytimePricedRoute: a DP request whose estimated cost exceeds its
-// deadline is answered by the anytime tier — feasible, never cached, and
-// at least as good as the exact optimum permits.
+// deadline is answered by the anytime tier — feasible, never cached, at
+// least as good as the exact optimum permits, and certified with a gap on
+// ideal, discrete-ladder and dormant processors alike.
 func TestAnytimePricedRoute(t *testing.T) {
-	e := New(Config{
-		AnytimeBudget: 50 * time.Millisecond,
-		EstimateCost:  func(Request) float64 { return 1e12 }, // everything "too slow"
-	})
-	req := Request{Tasks: testSet(t, 1, 30), Proc: testProcs["ideal"], Solver: "DP", Timeout: 200 * time.Millisecond}
-	want, err := directSolve(t, req, core.SolverSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, pname := range []string{"ideal", "discrete", "dormant"} {
+		t.Run(pname, func(t *testing.T) {
+			e := New(Config{
+				AnytimeBudget: 50 * time.Millisecond,
+				EstimateCost:  func(Request) float64 { return 1e12 }, // everything "too slow"
+			})
+			req := Request{Tasks: testSet(t, 1, 30), Proc: testProcs[pname], Solver: "DP", Timeout: 200 * time.Millisecond}
+			want, err := directSolve(t, req, core.SolverSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	for i := 0; i < 2; i++ {
-		resp := e.Solve(context.Background(), req)
-		checkAnytimeResponse(t, req, resp)
-		if resp.Gap < 0 {
-			t.Fatalf("solve %d: no certified gap on a monotone instance (gap %v)", i, resp.Gap)
-		}
-		if resp.Solution.Cost > want.Cost*(1+1e-9) {
-			t.Fatalf("solve %d: anytime cost %v worse than exact %v", i, resp.Solution.Cost, want.Cost)
-		}
-	}
-	if st := e.Stats(); st.AnytimeSolves != 2 {
-		t.Fatalf("AnytimeSolves = %d, want 2 (anytime answers must not be cached)", st.AnytimeSolves)
-	}
+			for i := 0; i < 2; i++ {
+				resp := e.Solve(context.Background(), req)
+				checkAnytimeResponse(t, req, resp)
+				if resp.Gap < 0 {
+					t.Fatalf("solve %d: no certified gap (gap %v)", i, resp.Gap)
+				}
+				if resp.Solution.Cost > want.Cost*(1+1e-9) {
+					t.Fatalf("solve %d: anytime cost %v worse than exact %v", i, resp.Solution.Cost, want.Cost)
+				}
+			}
+			if st := e.Stats(); st.AnytimeSolves != 2 {
+				t.Fatalf("AnytimeSolves = %d, want 2 (anytime answers must not be cached)", st.AnytimeSolves)
+			}
 
-	// Without a deadline the priced route is disarmed: exact solve, cached.
-	noDL := req
-	noDL.Timeout = 0
-	if resp := e.Solve(context.Background(), noDL); resp.Anytime || resp.Err != nil {
-		t.Fatalf("deadline-free request routed anytime (err %v)", resp.Err)
+			// Without a deadline the priced route is disarmed: exact solve, cached.
+			noDL := req
+			noDL.Timeout = 0
+			if resp := e.Solve(context.Background(), noDL); resp.Anytime || resp.Err != nil {
+				t.Fatalf("deadline-free request routed anytime (err %v)", resp.Err)
+			}
+		})
 	}
 }
 

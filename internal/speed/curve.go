@@ -24,6 +24,36 @@ import (
 // without the per-level math.Pow. Every other flavour falls back to
 // Proc.Energy itself. The zero Curve is not usable; construct with
 // NewCurve.
+//
+// Monotonicity: E(w) is non-decreasing in w on every processor flavour —
+// ideal or leaky, any SMin, continuous or on a ladder, with or without a
+// dormant mode. E(w) is the cheapest of a few candidate schedules: run at
+// one speed s for w/s and spend the rest of the frame idle, or split the
+// frame between two adjacent ladder levels. Each candidate's cost is
+// non-decreasing in w, because execution power ≥ awake-idle power ≥
+// dormant power: one more cycle at speed s costs P(s)/s of execution and
+// saves at most Pind/s of awake idling (nothing once the idle interval
+// sleeps for the constant Esw), and P(s) = Pind + Pd(s) ≥ Pind; a split
+// moves time from its lower level to the dearer higher one; the stretch
+// speed max(w/d, SMin) only rises. A candidate drops out only where it
+// meets the next one: a level leaves once it must run the whole frame,
+// where the split above it (or the stretch speed) starts at the same cost
+// P(s)·d, and the critical-speed sprint leaves where the stretch speed
+// reaches it. So the minimum never steps down. The rejection DP
+// (internal/core) relies on this on every flavour: its sparse rows keep
+// only the penalty frontier, its final scans cost only that frontier and
+// stop once the energy alone reaches the incumbent, and its lower bound
+// floors workloads. In float arithmetic a continuous curve can dip by one
+// ulp: at the stretch speed w/d the execution time w/(w/d) rounds to
+// either side of d, which moves E by an ulp wherever one more cycle adds
+// less than that (SMin ≤ w/d ≪ 1, d ≳ 2²⁰) — on the closed form, and on
+// a dormant processor where sleeping never pays (Esw ≳ Pind·d), whose
+// idle interval is clamped at 0 so nothing offsets an execution time
+// rounded above d. On a ladder every candidate rises by at least a
+// level's Pd(s)/s per cycle, far above an ulp of E over the tested
+// ranges, and no dip has been seen.
+// TestQuickEnergyMonotone and FuzzEnergyMonotone check both at
+// consecutive integer workloads.
 type Curve struct {
 	proc     Proc
 	deadline float64

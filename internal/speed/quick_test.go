@@ -1,38 +1,166 @@
 package speed
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"dvsreject/internal/power"
 )
 
-// Property: E(W) is non-decreasing in W for every processor flavour.
+// energyProc maps raw draws onto a valid processor and frame length. Each
+// float is kept when inside its range, else folded in modulo the range's
+// width: a polynomial model with Pind 0–1, Coeff 0.05–5 and α 1.5–3;
+// SMax 0.1–2 and SMin up to SMax/2 (a draw below zero reads 0); ladder%4
+// picks no ladder or one of three (the XScale levels, the same halved,
+// {0.2, 0.5, 1}·SMax); an optional dormant mode with Esw 0–20; and D
+// 1–2²⁶. TestQuickEnergyMonotone draws inside the ranges (energyArgs);
+// FuzzEnergyMonotone's mutations also reach outside them.
+func energyProc(pind, coeff, alpha, smin, smax float64, ladder uint8, dormant bool, esw, d float64) (Proc, float64) {
+	fold := func(x, lo, hi float64) float64 {
+		switch {
+		case x != x:
+			return lo
+		case x >= lo && x <= hi:
+			return x
+		case math.IsInf(x, 0):
+			return hi
+		}
+		return lo + math.Mod(math.Abs(x), hi-lo)
+	}
+	p := Proc{
+		Model:         power.Polynomial{Pind: fold(pind, 0, 1), Coeff: fold(coeff, 0.05, 5), Alpha: fold(alpha, 1.5, 3)},
+		SMax:          fold(smax, 0.1, 2),
+		DormantEnable: dormant,
+		Esw:           fold(esw, 0, 20),
+	}
+	p.SMin = max(0, fold(smin, -p.SMax/2, p.SMax/2))
+	switch ladder % 4 {
+	case 1:
+		p.Levels = power.XScaleLevels()
+	case 2:
+		p.Levels = power.LevelSet{0.075, 0.2, 0.3, 0.4, 0.5}
+	case 3:
+		p.Levels = power.LevelSet{0.2 * p.SMax, 0.5 * p.SMax, p.SMax}
+	}
+	return p, fold(d, 1, 1<<26)
+}
+
+// energyArgs fills TestQuickEnergyMonotone's arguments from its seeded
+// source: each energyProc parameter uniform over its range (so SMin is 0
+// on half the draws), a ladder on three draws in four, dormancy on half,
+// D log-uniform over 1–2²⁶ so short and long frames both occur, and a
+// uniform start workload.
+func energyArgs(args []reflect.Value, r *rand.Rand) {
+	u := func(lo, hi float64) float64 { return lo + (hi-lo)*r.Float64() }
+	smax := u(0.1, 2)
+	for i, v := range []any{
+		u(0, 1), u(0.05, 5), u(1.5, 3), u(-smax/2, smax/2), smax,
+		uint8(r.Intn(4)), r.Intn(2) == 0, u(0, 20), math.Exp2(u(0, 26)), r.Uint64(),
+	} {
+		args[i] = reflect.ValueOf(v)
+	}
+}
+
+// energyDips reports whether e, the energy one cycle above the workload
+// priced prev, breaks monotonicity on p: any decrease on a ladder; more
+// than one ulp on a continuous curve, where the stretch schedule's
+// execution time w/(w/D) rounds to either side of D and can cost an ulp
+// of E wherever one more cycle adds less than an ulp (see speed.Curve).
+func energyDips(p Proc, prev, e float64) bool {
+	if e >= prev {
+		return false
+	}
+	if p.Levels == nil {
+		return e < math.Nextafter(prev, math.Inf(-1))
+	}
+	return true
+}
+
+// energyRuns compares E at consecutive integer workloads of p over a
+// frame of length d — the first 32, 32 from start, and the last 32 up to
+// one past the capacity — and returns the first dip (see energyDips) as
+// an error, and whether any of those schedules sleeps through its idle
+// interval.
+func energyRuns(p Proc, d float64, start uint64) (slept bool, err error) {
+	c := NewCurve(p, d)
+	top := uint64(c.Capacity()) + 1
+	for _, lo := range []uint64{0, start % (top + 1), max(top, 32) - 32} {
+		prev := c.Energy(float64(lo))
+		for w := lo + 1; w <= lo+32 && w <= top; w++ {
+			e := c.Energy(float64(w))
+			if energyDips(p, prev, e) {
+				return slept, fmt.Errorf("%+v, D %v: E(%d) = %v < E(%d) = %v", p, d, w, e, w-1, prev)
+			}
+			if a, err := p.Assign(float64(w), d); err == nil && a.Shutdown {
+				slept = true
+			}
+			prev = e
+		}
+	}
+	return slept, nil
+}
+
+// Property: E(w) is non-decreasing in w for every processor flavour —
+// random models, SMin, ladders, dormancy — compared at consecutive integer
+// workloads (see energyRuns and energyDips).
 func TestQuickEnergyMonotone(t *testing.T) {
-	procs := []Proc{
+	// The paper's processors at a short and a long frame: ideal cubic,
+	// leaky XScale, dormant XScale, the XScale ladder and the dormant
+	// ladder.
+	for _, p := range []Proc{
 		{Model: power.Cubic(), SMax: 1},
 		{Model: power.XScale(), SMax: 1},
 		{Model: power.XScale(), SMax: 1, DormantEnable: true, Esw: 0.2},
 		{Model: power.XScale(), Levels: power.XScaleLevels()},
 		{Model: power.XScale(), Levels: power.XScaleLevels(), DormantEnable: true, Esw: 0.2},
-	}
-	f := func(wa, wb uint16) bool {
-		d := 100.0
-		lo := float64(wa%10000) / 100 // [0, 100)
-		hi := lo + float64(wb%1000)/100 + 1e-6
-		if hi > d {
-			return true
-		}
-		for _, p := range procs {
-			if p.Energy(lo, d) > p.Energy(hi, d)+1e-9 {
-				return false
+	} {
+		for _, d := range []float64{100, 1 << 20} {
+			if _, err := energyRuns(p, d, uint64(d)/3); err != nil {
+				t.Error(err)
 			}
+		}
+	}
+	// The one-ulp allowance is needed off the closed form too: this dormant
+	// processor leaks so little that sleeping never pays, and at w = 2 its
+	// stretch schedule's w/(w/D) rounds above D with no idle term to offset
+	// it.
+	p := Proc{Model: power.Polynomial{Pind: 6.628178200546925e-08, Coeff: 0.05, Alpha: 3}, SMax: 1, DormantEnable: true, Esw: 20}
+	if c := NewCurve(p, 6.096569558987497e+07); !(c.Energy(3) < c.Energy(2)) {
+		t.Errorf("%+v: E(3) = %v, E(2) = %v; want the one-ulp dip speed.Curve documents", p, c.Energy(3), c.Energy(2))
+	}
+
+	var trials, leaky, sleeps int
+	f := func(pind, coeff, alpha, smin, smax float64, ladder uint8, dormant bool, esw, d float64, start uint64) bool {
+		p, d := energyProc(pind, coeff, alpha, smin, smax, ladder, dormant, esw, d)
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		slept, err := energyRuns(p, d, start)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		trials++
+		if p.Model.Static() > 0 {
+			leaky++
+		}
+		if slept {
+			sleeps++
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1)), Values: energyArgs}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// Guard the draws themselves: most processors leak, and a fair share
+	// of schedules sleep, so the dormant branch is really exercised.
+	if leaky < trials*9/10 || sleeps < trials/4 {
+		t.Errorf("%d trials: %d leak, %d sleep through an idle interval", trials, leaky, sleeps)
 	}
 }
 
